@@ -1,27 +1,28 @@
-// Ablation: apply-path batch size vs. replay throughput and replica lag.
+// Ablation: apply-path batch shape vs. replay throughput and replica lag.
 //
-// Replays a backlog of committed write sets through the BatchDispatcher into
-// a simulated cluster (per-op service time 40us, 4 service slots, 4 dispatch
-// threads). Each MultiWrite round trip costs one full service time plus a
-// marginal per extra entry, so batching amortizes the dominant cost of
-// apply. Replica lag is measured against a backlog model: every transaction
-// is committed at t=0 and its lag is the wall-clock instant its write set
-// finished applying — exactly the drain profile of a replica that fell
-// behind. The adaptive setting (arg 0) starts at 1 and resizes from the
-// observed lag.
+// Replays a backlog of committed write sets into a simulated cluster (per-op
+// service time 40us, 4 service slots, 4 dispatch threads) in one of two
+// shapes: one entry per MultiWrite (op-at-a-time through the batch API), or
+// the whole write set as one MultiWrite — what every applier does through
+// TxnBuffer::ApplyTo. Each MultiWrite round trip costs one full service time
+// plus a marginal per extra entry, so batching amortizes the dominant cost
+// of apply. Replica lag is measured against a backlog model: every
+// transaction is committed at t=0 and its lag is the wall-clock instant its
+// write set finished applying — exactly the drain profile of a replica that
+// fell behind.
 //
-// Expected: batch 16 is >= 2x the batch-1 replay throughput (acceptance
-// criterion), batch 64 slightly better still, adaptive close to the best
-// fixed size without tuning.
+// Expected: the whole-write-set arm is several times the op-at-a-time replay
+// throughput.
 
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
-#include "core/batch_dispatcher.h"
+#include "common/status.h"
 #include "kv/kv_cluster.h"
 
 namespace txrep::bench {
@@ -32,7 +33,7 @@ constexpr int kWritesPerTxn = 16;
 constexpr uint64_t kSeed = 113;
 
 /// Pre-built committed write sets: the replay input, independent of the
-/// batch size under test.
+/// batch shape under test.
 std::vector<kv::KvWriteBatch> BuildWriteSets() {
   Random rng(kSeed);
   std::vector<kv::KvWriteBatch> txns(kTxns);
@@ -49,9 +50,9 @@ std::vector<kv::KvWriteBatch> BuildWriteSets() {
   return txns;
 }
 
-// arg: dispatcher batch size; 0 selects the adaptive controller.
+// arg: 1 ships each write set as one MultiWrite, 0 one entry per MultiWrite.
 void BM_AblationApplyBatchSize(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
+  const bool whole_set = state.range(0) != 0;
   const std::vector<kv::KvWriteBatch> txns = BuildWriteSets();
   for (auto _ : state) {
     kv::KvClusterOptions cluster_options;
@@ -60,15 +61,13 @@ void BM_AblationApplyBatchSize(benchmark::State& state) {
     cluster_options.node.service_time_micros = 40;
     cluster_options.node.service_slots = 4;
     kv::KvCluster cluster(cluster_options);
-
-    core::BatchDispatchOptions dispatch;
-    if (batch == 0) {
-      dispatch.adaptive = true;
-      dispatch.batch_size = 1;  // Cold start: must earn its batch size.
-    } else {
-      dispatch.batch_size = batch;
-    }
-    core::BatchDispatcher dispatcher(dispatch);
+    auto apply = [&](std::span<const kv::KvWrite> writes) -> Status {
+      if (whole_set) return cluster.MultiWrite(writes);
+      for (size_t i = 0; i < writes.size(); ++i) {
+        TXREP_RETURN_IF_ERROR(cluster.MultiWrite(writes.subspan(i, 1)));
+      }
+      return Status::OK();
+    };
 
     // Drain the backlog. All txns are committed at t0; a txn's lag is the
     // instant its write set finished applying.
@@ -78,17 +77,16 @@ void BM_AblationApplyBatchSize(benchmark::State& state) {
     Stopwatch sw;
     const int64_t t0 = NowMicros();
     for (const kv::KvWriteBatch& writes : txns) {
-      if (!dispatcher.Dispatch(&cluster, writes).ok()) {
+      if (!apply(writes).ok()) {
         failed = true;
         break;
       }
       const int64_t lag = NowMicros() - t0;
-      dispatcher.ObserveLag(lag);
       lag_sum += lag;
       lag_max = lag > lag_max ? lag : lag_max;
     }
     if (failed) {
-      state.SkipWithError("dispatch failed");
+      state.SkipWithError("apply failed");
       break;
     }
     const double secs = sw.ElapsedSeconds();
@@ -97,19 +95,14 @@ void BM_AblationApplyBatchSize(benchmark::State& state) {
     state.counters["ops_per_s"] = kTxns * kWritesPerTxn / secs;
     state.counters["mean_lag_ms"] = (lag_sum / double{kTxns}) / 1e3;
     state.counters["max_lag_ms"] = lag_max / 1e3;
-    state.counters["final_batch"] =
-        static_cast<double>(dispatcher.current_batch_size());
   }
   state.SetItemsProcessed(kTxns);
 }
 
 BENCHMARK(BM_AblationApplyBatchSize)
+    ->Arg(0)
     ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(0)  // Adaptive.
-    ->ArgNames({"batch"})
+    ->ArgNames({"whole_set"})
     ->UseManualTime()
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

@@ -1,9 +1,9 @@
 // Ablation I: reader scaling of the optimistic version-latched B-link index
 // (DESIGN.md §14). Workload: R reader threads run full-range scans against a
 // prepopulated tree while two writer threads churn keys (insert + remove,
-// forcing splits and latch traffic) and a BatchDispatcher sustains batched
-// noise applies against the same simulated KV node — the replica steady
-// state: tail replay landing while index readers serve queries.
+// forcing splits and latch traffic) and 8-entry MultiWrite calls sustain
+// batched noise applies against the same simulated KV node — the replica
+// steady state: tail replay landing while index readers serve queries.
 //
 // Expected: aggregate scans/sec grows with R because optimistic readers take
 // no latches and their simulated KV round trips (25 µs per node read)
@@ -22,7 +22,6 @@
 #include "blink/blink_tree.h"
 #include "common/clock.h"
 #include "common/histogram.h"
-#include "core/batch_dispatcher.h"
 #include "kv/inmemory_node.h"
 #include "kv/kv_types.h"
 #include "rel/value.h"
@@ -63,12 +62,11 @@ void BM_AblationIndexLatch(benchmark::State& state) {
 
     // Writers churn odd keys inside the seeded range: every insert/remove
     // pair takes the leaf latch and periodically splits, so readers keep
-    // hitting version bumps. The dispatcher lands batched noise writes on
+    // hitting version bumps. MultiWrite lands batched noise writes on
     // the same node, occupying its service capacity like tail replay does.
     std::vector<std::thread> threads;
     for (int w = 0; w < kWriters; ++w) {
       threads.emplace_back([&, w] {
-        core::BatchDispatcher dispatcher({.batch_size = 8});
         std::vector<kv::KvWrite> noise;
         for (int i = 0; i < 8; ++i) {
           noise.push_back(kv::KvWrite::Put(
@@ -79,7 +77,7 @@ void BM_AblationIndexLatch(benchmark::State& state) {
           const int64_t key = (k % kSeedEntries) * 10 + 1 + w;
           if (!tree.Insert(Value::Int(key), "churn").ok() ||
               !tree.Remove(Value::Int(key), "churn").ok() ||
-              !dispatcher.Dispatch(&store, noise).ok()) {
+              !store.MultiWrite(noise).ok()) {
             ++errors;
             return;
           }

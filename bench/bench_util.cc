@@ -178,8 +178,7 @@ ReplayResult RunSerialReplay(const BenchInput& input,
   CheckOk(translator.LoadSnapshot(&cluster, *input.snapshot), "LoadSnapshot");
 
   std::unique_ptr<trace::Tracer> tracer = MakeReplayTracer(trace);
-  core::SerialApplier applier(&cluster, &translator, &registry,
-                              core::BatchDispatchOptions{}, tracer.get());
+  core::SerialApplier applier(&cluster, &translator, &registry, tracer.get());
   std::vector<rel::LogTransaction> log = input.db->log().ReadSince(0);
   if (tracer != nullptr) {
     for (rel::LogTransaction& txn : log) txn.trace = tracer->Mint(txn.lsn);

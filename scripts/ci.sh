@@ -37,7 +37,7 @@ MODE="${1:-plain}"
 # (checkpoint writer + restart + online bootstrap + disk-node torn tails),
 # whose raw file I/O and background threads are exactly where ASan/UBSan
 # earn their keep, the batched apply pipeline (MultiWrite fan-out
-# through the cluster dispatch pool + the adaptive batch dispatcher), and
+# through the cluster dispatch pool), and
 # the tracing subsystem (the seqlock flight recorder's lock-free writer
 # protocol plus the SLO watchdog's poller thread are prime tsan targets),
 # and the wire replication boundary (frame codec, socket transport threads,
@@ -47,7 +47,7 @@ MODE="${1:-plain}"
 # TPC-C-lite workload suites (multi-table concurrent-vs-serial equivalence
 # replay, the seed-sweep explorer's tpcc mode, and the open-loop load
 # generator driving a live TM — DESIGN.md §15).
-SANITIZER_TESTS='obs_|core_tm_|mw_|common_histogram|common_thread_pool|common_blocking_queue|common_keyed_mutex|txrep_system|check_|recov_|kv_disk_|kv_batch_|core_batch_|trace_|net_|blink_|workload_'
+SANITIZER_TESTS='obs_|core_tm_|mw_|common_histogram|common_thread_pool|common_blocking_queue|txrep_system|check_|recov_|kv_disk_|kv_batch_|trace_|net_|blink_|workload_'
 
 # Flavor results for the final summary: "name<TAB>PASS|SKIP (reason)".
 RESULTS=()

@@ -86,12 +86,11 @@ apply_path_files=(
   src/core/serial_applier.cc
   src/core/ticket_applier.cc
   src/core/transaction_manager.cc
-  src/core/batch_dispatcher.cc
   src/txrep/bootstrap.cc
 )
 per_op_apply=$(grep -nE -- '->(Put|Delete)\(' "${apply_path_files[@]}" || true)
 if [[ -n "${per_op_apply}" ]]; then
-  echo "lint: per-op Put/Delete on the apply path (batch via MultiWrite / BatchDispatcher):"
+  echo "lint: per-op Put/Delete on the apply path (batch via MultiWrite / TxnBuffer::ApplyTo):"
   echo "${per_op_apply}"
   fail=1
 fi

@@ -22,8 +22,6 @@ namespace txrep::check {
 /// so all instances of e.g. "bq.mu" collapse into one node. Same-name
 /// nesting (holding one "bq.mu" while acquiring another) is reported as a
 /// violation too: distinct instances behind one name have no defined order.
-/// Keyed per-object latches with their own protocol (KeyedMutex) stay
-/// outside this graph.
 ///
 /// check::Mutex calls the hooks only in TXREP_DEBUG_CHECKS builds (the
 /// `debug-checks` CI flavor), where a violation aborts the process with the

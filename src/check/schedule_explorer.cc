@@ -14,7 +14,6 @@
 #include "codec/schema_codec.h"
 #include "common/clock.h"
 #include "common/random.h"
-#include "core/batch_dispatcher.h"
 #include "core/serial_applier.h"
 #include "core/transaction_manager.h"
 #include "kv/inmemory_node.h"
@@ -52,11 +51,10 @@ struct ScheduleConfig {
   double read_only_rate;
 };
 
-/// Batched-apply knobs, derived from a private stream (seed ^ constant) so
-/// enabling the mode does not perturb the main schedule derivation.
+/// Batched-apply cluster shape, derived from a private stream (seed ^
+/// constant) so enabling the mode does not perturb the main schedule
+/// derivation.
 struct BatchConfig {
-  int batch_size;
-  bool adaptive;
   int num_nodes;
   int dispatch_threads;
 };
@@ -64,19 +62,10 @@ struct BatchConfig {
 BatchConfig DeriveBatchConfig(uint64_t seed) {
   Random rng(seed ^ 0xb47c0a5ed15b47c0ULL);
   BatchConfig config;
-  config.batch_size = 1 + static_cast<int>(rng.Uniform(64));
-  config.adaptive = rng.Bernoulli(0.3);
   config.num_nodes = 1 + static_cast<int>(rng.Uniform(5));
   // 0 = inline sequential fan-out; >0 = parallel dispatch pool.
   config.dispatch_threads = static_cast<int>(rng.Uniform(5));
   return config;
-}
-
-core::BatchDispatchOptions ToDispatchOptions(const BatchConfig& config) {
-  core::BatchDispatchOptions options;
-  options.batch_size = config.batch_size;
-  options.adaptive = config.adaptive;
-  return options;
 }
 
 /// TPC-C-lite knobs, derived from a private stream (seed ^ constant) like
@@ -287,13 +276,10 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
   qt::QueryTranslator translator(
       &db.catalog(), {.max_node_keys = config.max_node_keys});
 
-  // Reference: serial replay on a pristine, failure-free store, dispatcher
-  // pinned to batch size 1 — op-at-a-time ground truth through the batch API.
+  // Reference: serial replay on a pristine, failure-free single node.
   kv::InMemoryKvNode serial_store;
   TXREP_RETURN_IF_ERROR(translator.InitializeIndexes(&serial_store));
-  core::SerialApplier serial_applier(&serial_store, &translator,
-                                     /*metrics=*/nullptr,
-                                     core::BatchDispatchOptions{.batch_size = 1});
+  core::SerialApplier serial_applier(&serial_store, &translator);
   TXREP_RETURN_IF_ERROR(serial_applier.ApplyBatch(db.log().ReadSince(0)));
 
   // Candidate: concurrent replay with every knob drawn from the seed.
@@ -346,10 +332,6 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
     tm_options.max_apply_retries = 64;
     tm_options.max_execution_retries = 256;
   }
-  if (options_.batched_apply) {
-    tm_options.apply_batch = ToDispatchOptions(batch_config);
-  }
-
   // Traced mode: a live tracer with a seed-derived sampling period (private
   // stream, like the batch knobs) joins the replay. Contexts are minted per
   // LSN below, exactly as the log would have carried them.
@@ -516,7 +498,6 @@ Status ScheduleExplorer::RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
   std::vector<std::thread> threads;
   threads.reserve(writers + readers);
 
-  core::BatchDispatcher dispatcher;
   for (int w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
       Status status;
@@ -535,7 +516,7 @@ Status ScheduleExplorer::RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
                     std::to_string(k * 8 + n),
                 "x"));
           }
-          status = dispatcher.Dispatch(&store, noise);
+          status = store.MultiWrite(noise);
         }
       }
       writer_status[w] = status;
@@ -749,9 +730,6 @@ Status ScheduleExplorer::RunCrashRestart(uint64_t seed, rel::Database& db,
     core::TmOptions tm_options;
     tm_options.top_threads = 2;
     tm_options.bottom_threads = 2;
-    if (options_.batched_apply) {
-      tm_options.apply_batch = ToDispatchOptions(DeriveBatchConfig(seed));
-    }
     core::TransactionManager tm(&store, &translator, tm_options);
     for (rel::LogTransaction& txn : db.log().ReadSince(0, crash_lsn)) {
       tm.SubmitUpdate(std::move(txn));
@@ -809,12 +787,7 @@ Status ScheduleExplorer::RunCrashRestart(uint64_t seed, rel::Database& db,
         "log tail gap after epoch " +
         std::to_string(checkpoint.manifest.snapshot_epoch));
   }
-  core::BatchDispatchOptions tail_dispatch;
-  if (options_.batched_apply) {
-    tail_dispatch = ToDispatchOptions(DeriveBatchConfig(seed));
-  }
-  core::SerialApplier tail_applier(&recovered, &translator, /*metrics=*/nullptr,
-                                   tail_dispatch);
+  core::SerialApplier tail_applier(&recovered, &translator);
   TXREP_RETURN_IF_ERROR(tail_applier.ApplyBatch(tail));
 
   const std::string diff = DiffDumps(serial_dump, recovered.Dump());

@@ -61,13 +61,10 @@ struct ScheduleExplorerOptions {
   bool traced = false;
 
   /// Batched-apply mode: the concurrent replica becomes a seed-derived
-  /// KvCluster (node count and dispatch threads drawn from the seed) and the
-  /// TM's write-set dispatcher gets a seed-derived chunk size / adaptive
-  /// flag, so the whole MultiWrite fan-out path joins the explored state
-  /// space. The batched knobs come from a private random stream, so existing
-  /// seeds reproduce identically in either mode. The serial reference pins
-  /// its dispatcher to batch size 1 — op-at-a-time ground truth through the
-  /// batch API.
+  /// KvCluster (node count and dispatch threads drawn from the seed), so the
+  /// MultiWrite routing and per-node fan-out path joins the explored state
+  /// space. The cluster shape comes from a private random stream, so
+  /// existing seeds reproduce identically in either mode.
   bool batched_apply = false;
 
   /// Wire mode: each schedule additionally replays through the full
@@ -91,8 +88,8 @@ struct ScheduleExplorerOptions {
   /// still come back sorted; Aborted is legal and flows into the TM's
   /// restart machinery). (b) After the replay, a scratch-store hammer runs
   /// seed-derived reader threads (scans, point lookups, entry counts)
-  /// against writer threads inserting through the tree while a
-  /// BatchDispatcher applies row noise to the same store; readers must never
+  /// against writer threads inserting through the tree while MultiWrite
+  /// batches land row noise in the same store; readers must never
   /// observe a missing seed entry or unsorted output, and the quiesced tree
   /// must pass the structural + latch audits with an exact entry count. The
   /// knobs come from a private random stream, so existing seeds reproduce
@@ -186,8 +183,8 @@ class ScheduleExplorer {
 
   /// Optimistic-latch hammer of one schedule: seed-derived reader threads
   /// run scans / lookups / counts through one shared BlinkTree on a scratch
-  /// store while writer threads insert through the tree and a
-  /// BatchDispatcher applies row noise beside it; ends with the structural +
+  /// store while writer threads insert through the tree and MultiWrite
+  /// batches land row noise beside it; ends with the structural +
   /// latch audits and an exact entry count. Accumulates the tree's read
   /// events into `report` (null ok).
   Status RunOptLatchHammer(uint64_t seed, size_t max_node_keys,

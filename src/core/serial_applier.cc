@@ -9,13 +9,8 @@ namespace txrep::core {
 SerialApplier::SerialApplier(kv::KvStore* store,
                              const qt::QueryTranslator* translator,
                              obs::MetricsRegistry* metrics,
-                             BatchDispatchOptions dispatch,
                              trace::Tracer* tracer, trace::SloWatchdog* slo)
-    : store_(store),
-      translator_(translator),
-      tracer_(tracer),
-      slo_(slo),
-      dispatcher_(dispatch, metrics) {
+    : store_(store), translator_(translator), tracer_(tracer), slo_(slo) {
   if (metrics != nullptr) {
     h_stage_apply_ = metrics->GetHistogram(obs::kStageLatency,
                                            {{"stage", obs::kStageApply}});
@@ -27,12 +22,12 @@ SerialApplier::SerialApplier(kv::KvStore* store,
 Status SerialApplier::Apply(const rel::LogTransaction& txn) {
   const int64_t start = NowMicros();
   // Execute into a private buffer (reads go through to the store), then ship
-  // the coalesced write set through the batch dispatcher. Serial replay makes
-  // this trivially equivalent to direct application: nothing else writes the
+  // the coalesced write set as one MultiWrite. Serial replay makes this
+  // trivially equivalent to direct application: nothing else writes the
   // store between execution and publish.
   TxnBuffer buffer(store_);
   TXREP_RETURN_IF_ERROR(translator_->ApplyTransaction(&buffer, txn));
-  TXREP_RETURN_IF_ERROR(dispatcher_.Dispatch(store_, buffer.WriteBatch()));
+  TXREP_RETURN_IF_ERROR(buffer.ApplyTo(store_));
   ++applied_;
   if (txn.lsn != 0) {
     last_applied_lsn_.store(txn.lsn, std::memory_order_release);
@@ -51,7 +46,6 @@ Status SerialApplier::Apply(const rel::LogTransaction& txn) {
   }
   if (txn.commit_micros != 0) {
     if (h_stage_e2e_ != nullptr) h_stage_e2e_->Record(now - txn.commit_micros);
-    dispatcher_.ObserveLag(now - txn.commit_micros);
     if (slo_ != nullptr) slo_->ObserveLag(now - txn.commit_micros);
   }
   return Status::OK();

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "core/batch_dispatcher.h"
 #include "kv/kv_store.h"
 #include "obs/metrics.h"
 #include "qt/query_translator.h"
@@ -24,16 +23,14 @@ class SerialApplier {
  public:
   /// `store` and `translator` must outlive the applier. `metrics` (optional,
   /// same lifetime rule) receives the apply / e2e stage latency histograms.
-  /// `dispatch` configures the write-set coalescing dispatcher: each
-  /// transaction executes into a private TxnBuffer (reads go through to the
-  /// store) and the coalesced write set ships as MultiWrite chunks —
+  /// Each transaction executes into a private TxnBuffer (reads go through to
+  /// the store) and its coalesced write set ships as one MultiWrite —
   /// equivalent to direct application because a buffered transaction reads
   /// its own writes and each key appears once in the write set.
   /// `tracer` / `slo` (optional, same lifetime rule) receive the apply and
   /// e2e spans / the replica lag of every applied transaction.
   SerialApplier(kv::KvStore* store, const qt::QueryTranslator* translator,
                 obs::MetricsRegistry* metrics = nullptr,
-                BatchDispatchOptions dispatch = {},
                 trace::Tracer* tracer = nullptr,
                 trace::SloWatchdog* slo = nullptr);
 
@@ -48,10 +45,6 @@ class SerialApplier {
 
   int64_t applied() const { return applied_; }
 
-  /// The applier's write-set dispatcher (e.g. to inspect the adaptive batch
-  /// size in tests).
-  const BatchDispatcher& dispatcher() const { return dispatcher_; }
-
   /// LSN of the last applied transaction (0 before the first). Serial
   /// replay is in-order, so this is always the applied-prefix end — the
   /// serial path's snapshot-epoch source. Atomic: checkpointing reads it
@@ -65,7 +58,6 @@ class SerialApplier {
   const qt::QueryTranslator* translator_;  // Not owned.
   trace::Tracer* tracer_;                  // Not owned; may be null.
   trace::SloWatchdog* slo_;                // Not owned; may be null.
-  BatchDispatcher dispatcher_;
   int64_t applied_ = 0;
   std::atomic<uint64_t> last_applied_lsn_{0};
 

@@ -49,10 +49,7 @@ TicketApplier::TicketApplier(kv::KvStore* store,
                              const qt::QueryTranslator* translator,
                              TicketApplierOptions options,
                              trace::Tracer* tracer)
-    : store_(store),
-      translator_(translator),
-      tracer_(tracer),
-      dispatcher_(options.dispatch) {
+    : store_(store), translator_(translator), tracer_(tracer) {
   pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(std::max(1, options.threads)), "ticket-applier");
 }
@@ -99,12 +96,12 @@ void TicketApplier::ApplyTask(uint64_t ticket,
   }
   if (status.ok()) {
     // Execute into a private buffer under the table locks, then publish the
-    // coalesced write set in batches. The locks are still held across the
-    // publish, so ticket-order serialization per table is unchanged.
+    // coalesced write set as one MultiWrite. The locks are still held across
+    // the publish, so ticket-order serialization per table is unchanged.
     TxnBuffer buffer(store_);
     status = translator_->ApplyTransaction(&buffer, *txn);
     if (status.ok()) {
-      status = dispatcher_.Dispatch(store_, buffer.WriteBatch());
+      status = buffer.ApplyTo(store_);
     }
   }
   locks_.Release(ticket, *tables);

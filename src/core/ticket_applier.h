@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/batch_dispatcher.h"
 #include "kv/kv_store.h"
 #include "qt/query_translator.h"
 #include "rel/txlog.h"
@@ -24,11 +23,6 @@ namespace txrep::core {
 struct TicketApplierOptions {
   /// Worker threads executing transactions once their locks are granted.
   int threads = 20;
-
-  /// Write-set coalescing (see BatchDispatchOptions): each transaction
-  /// executes into a private TxnBuffer under its table locks and the
-  /// coalesced write set ships as MultiWrite chunks.
-  BatchDispatchOptions dispatch;
 };
 
 /// Counters exposed by the ticket applier.
@@ -60,7 +54,9 @@ class TicketApplier {
  public:
   /// `store` and `translator` must outlive the applier. `tracer` (optional,
   /// same lifetime rule) receives apply / e2e spans of sampled transactions
-  /// (lock waiting is the apply queue share).
+  /// (lock waiting is the apply queue share). Each transaction executes into
+  /// a private TxnBuffer under its table locks and its coalesced write set
+  /// ships as one MultiWrite before the locks are released.
   TicketApplier(kv::KvStore* store, const qt::QueryTranslator* translator,
                 TicketApplierOptions options = {},
                 trace::Tracer* tracer = nullptr);
@@ -115,8 +111,6 @@ class TicketApplier {
   const qt::QueryTranslator* translator_;  // Not owned.
   // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
   trace::Tracer* tracer_;                  // Not owned; may be null.
-  // analyze: lock-free(BatchDispatcher is internally synchronized)
-  BatchDispatcher dispatcher_;
   // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<ThreadPool> pool_;
   // analyze: lock-free(LockManager owns its own (keyed) mutexes)

@@ -28,7 +28,6 @@ TransactionManager::TransactionManager(kv::KvStore* store,
     metrics = owned_metrics_.get();
   }
   WireMetrics(metrics);
-  dispatcher_ = std::make_unique<BatchDispatcher>(options_.apply_batch, metrics);
   top_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(options_.top_threads), "tm-top");
   bottom_pool_ = std::make_unique<ThreadPool>(
@@ -296,15 +295,13 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
 }
 
 void TransactionManager::ApplyTask(const TxnPtr& txn) {
-  // Publish the buffered writes through the batch dispatcher, tolerating
-  // transient store failures (re-dispatching is idempotent: PUT/DELETE are
-  // absolute).
+  // Publish the buffered write set as one MultiWrite, tolerating transient
+  // store failures (re-applying is idempotent: PUT/DELETE are absolute).
   const int64_t apply_start = NowMicros();
   Status status = Status::OK();
   if (txn->buffer->WriteCount() > 0) {
-    const kv::KvWriteBatch writes = txn->buffer->WriteBatch();
     for (int attempt = 0;; ++attempt) {
-      status = dispatcher_->Dispatch(store_, writes);
+      status = txn->buffer->ApplyTo(store_);
       if (status.ok() || !status.IsUnavailable()) break;
       if (attempt >= options_.max_apply_retries) {
         TXREP_LOG(kWarn) << "apply of transaction " << txn->seq()
@@ -356,7 +353,6 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
     if (txn->db_commit_micros != 0) {
       const int64_t lag = NowMicros() - txn->db_commit_micros;
       h_stage_e2e_->Record(lag);
-      dispatcher_->ObserveLag(lag);
       if (slo_ != nullptr) slo_->ObserveLag(lag);
     }
     to_restart = std::move(txn->restart_list);

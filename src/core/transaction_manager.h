@@ -13,7 +13,6 @@
 #include "common/logical_clock.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/batch_dispatcher.h"
 #include "core/transaction.h"
 #include "kv/kv_store.h"
 #include "obs/metrics.h"
@@ -58,11 +57,6 @@ struct TmOptions {
   /// proposed optimization): transactions whose table-class signatures are
   /// disjoint skip the exact key-set intersection entirely.
   bool enable_class_filter = true;
-
-  /// Write-set coalescing on the bottom pool (see BatchDispatchOptions). The
-  /// default is adaptive: the controller feeds the e2e lag of every
-  /// completed transaction back into the chunk size.
-  BatchDispatchOptions apply_batch{.adaptive = true};
 };
 
 /// Counters exposed by the TM (snapshot via TransactionManager::stats()).
@@ -103,8 +97,9 @@ struct TmStats {
 ///     - conflict with a COMPLETED predecessor that completed after this
 ///       transaction started -> restart immediately;
 ///     - otherwise commit: advance the expected sequence and hand the buffer
-///       to the *bottom pool*, which applies it to the store, marks the
-///       transaction COMPLETED and restarts everything parked on it.
+///       to the *bottom pool*, which applies its write set to the store as
+///       one MultiWrite (TxnBuffer::ApplyTo), marks the transaction
+///       COMPLETED and restarts everything parked on it.
 ///   An asynchronous pass (Algorithm 2) trims the completed list once it
 ///   exceeds `completed_gc_threshold`.
 ///
@@ -170,10 +165,6 @@ class TransactionManager {
 
   TmStats stats() const;
   const TmOptions& options() const { return options_; }
-
-  /// The bottom pool's write-set dispatcher (e.g. to inspect the adaptive
-  /// batch size in tests).
-  const BatchDispatcher& dispatcher() const { return *dispatcher_; }
 
   /// Current size of the completed list (for GC tests/benches).
   size_t CompletedListSize() const;
@@ -297,11 +288,6 @@ class TransactionManager {
   obs::Gauge* g_top_backlog_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Gauge* g_bottom_backlog_ = nullptr;
-
-  /// Bottom-pool write-set dispatcher (created after WireMetrics so it can
-  /// resolve its instruments from the same registry).
-  // analyze: lock-free(wired before worker threads start; teardown joins first)
-  std::unique_ptr<BatchDispatcher> dispatcher_;
 
   // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<ThreadPool> top_pool_;

@@ -131,15 +131,6 @@ inline constexpr char kKvDispatchLatency[] = "txrep_kv_dispatch_latency_us";
 /// queueing out of the service share of apply-lag attribution.
 inline constexpr char kKvQueueWait[] = "txrep_kv_queue_wait_us";
 
-// --- batched apply path -------------------------------------------------
-/// Write-set entries per dispatched chunk (histogram, unitless).
-inline constexpr char kApplyBatchSize[] = "txrep_apply_batch_size";
-/// Round trips saved by coalescing: ops dispatched minus Multi* calls made.
-inline constexpr char kApplyCoalescedOps[] = "txrep_apply_coalesced_ops_total";
-/// Gauge: latest observed DB-commit -> replica-applied lag (µs); feeds the
-/// adaptive batch-size controller.
-inline constexpr char kReplicaLag[] = "txrep_replica_lag_us";
-
 // --- recovery / checkpointing -----------------------------------------------
 inline constexpr char kRecovCheckpoints[] = "txrep_recov_checkpoints_total";
 inline constexpr char kRecovCheckpointFailures[] =

@@ -46,8 +46,7 @@ Status BootstrappedReplica::Start() {
   // The primary's tracer (if any) also covers this replica's applies: a
   // sampled transaction gets an apply/e2e span per replica that applies it.
   applier_ = std::make_unique<core::SerialApplier>(
-      cluster_.get(), &translator, &registry_, options_.apply_batch,
-      system_->tracer());
+      cluster_.get(), &translator, &registry_, system_->tracer());
   reader_ = std::make_unique<qt::ReplicaReader>(
       &translator.catalog(), translator.blink_options(), &registry_);
   gate_ = std::make_unique<recov::CatchupGate>(options_.max_admission_lag,

@@ -36,11 +36,6 @@ struct BootstrapOptions {
 
   /// Poll interval of the background lag monitor feeding the gate.
   int64_t catchup_poll_micros = 1000;
-
-  /// Write-set coalescing for the tail replay / gap-fill applier (see
-  /// core::BatchDispatchOptions): bootstrap ships each replayed
-  /// transaction's writes as MultiWrite chunks instead of per-op Puts.
-  core::BatchDispatchOptions apply_batch;
 };
 
 /// A brand-new replica attached to a live TxRepSystem while writes keep

@@ -103,8 +103,8 @@ Status TxRepSystem::Start() {
         tracer_.get(), slo_.get());
   } else {
     serial_ = std::make_unique<core::SerialApplier>(
-        cluster_.get(), translator_.get(), &registry_,
-        core::BatchDispatchOptions{}, tracer_.get(), slo_.get());
+        cluster_.get(), translator_.get(), &registry_, tracer_.get(),
+        slo_.get());
   }
   if (slo_ != nullptr) {
     slo_->SetProgressProbe([this] {

@@ -6,7 +6,6 @@
 #include "blink/blink_tree.h"
 #include "check/invariants.h"
 #include "common/random.h"
-#include "core/batch_dispatcher.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
 #include "kv/kv_types.h"
@@ -179,7 +178,7 @@ TEST(BlinkTreeConcurrentTest, MixedInsertRemoveHammer) {
   EXPECT_EQ(*tree.EntryCount(), expected);
 }
 
-TEST(BlinkTreeConcurrentTest, ReadersVersusBatchDispatcherHammer) {
+TEST(BlinkTreeConcurrentTest, ReadersVersusMultiWriteHammer) {
   // The replica-side steady state: optimistic readers scanning the index
   // while writers both mutate the tree and push row noise through the
   // batched apply path into the same store. Runs in rounds; after each
@@ -197,7 +196,6 @@ TEST(BlinkTreeConcurrentTest, ReadersVersusBatchDispatcherHammer) {
     TXREP_ASSERT_OK(tree.Insert(Value::Int(i * 1000), "seed"));
   }
 
-  core::BatchDispatcher dispatcher;
   int inserted = 0;
   for (int round = 0; round < kRounds; ++round) {
     std::atomic<int> writers_live{kWriters};
@@ -216,7 +214,7 @@ TEST(BlinkTreeConcurrentTest, ReadersVersusBatchDispatcherHammer) {
                   "row/" + std::to_string(w) + "/" + std::to_string(i + n),
                   "payload"));
             }
-            TXREP_ASSERT_OK(dispatcher.Dispatch(&store, noise));
+            TXREP_ASSERT_OK(store.MultiWrite(noise));
           }
         }
         writers_live.fetch_sub(1);

@@ -66,9 +66,9 @@ TEST(ScheduleExplorerTest, CrashRestartSweepFindsNoDivergence) {
 
 TEST(ScheduleExplorerTest, BatchedApplySweepFindsNoDivergence) {
   // Batched-apply mode: the concurrent replica is a seed-derived KvCluster
-  // and the TM dispatches coalesced write sets in seed-derived chunks
-  // (adaptive on some seeds). Concurrent batched replay must still byte-
-  // equal op-at-a-time serial replay on every seed.
+  // (node count, dispatch threads), so each write set's MultiWrite is split
+  // per node and fanned out. Concurrent replay must still byte-equal serial
+  // replay on every seed.
   ScheduleExplorerOptions options;
   options.base_seed = 1;
   options.schedules = SeedsFromEnv(200);
@@ -91,9 +91,9 @@ TEST(ScheduleExplorerTest, BatchedApplySweepFindsNoDivergence) {
 }
 
 TEST(ScheduleExplorerTest, BatchedCrashRestartSweepFindsNoDivergence) {
-  // Crash + recovery with batching on both the crashing TM and the tail
-  // replay applier: recovery must land byte-identical regardless of how the
-  // write sets were chunked before and after the crash.
+  // Crash + recovery on top of the batched-apply schedule: the crashing TM
+  // and the tail replay applier each publish one MultiWrite per write set,
+  // and recovery must land byte-identical to serial replay.
   ScheduleExplorerOptions options;
   options.base_seed = 1;
   options.schedules = SeedsFromEnv(200);
@@ -163,7 +163,7 @@ TEST(ScheduleExplorerTest, OptLatchSweepFindsNoDivergence) {
   // mode on, (a) interleaved B-link index probes run full scans over their
   // torn buffered views (byte-equivalence oracle unchanged — so optimistic
   // reads may not perturb replay), and (b) each schedule's scratch-store
-  // hammer races readers against tree writers plus a BatchDispatcher. The
+  // hammer races readers against tree writers plus MultiWrite noise. The
   // blink_read_events counter must be nonzero — the protocol engaging is
   // part of the contract, not a nice-to-have.
   ScheduleExplorerOptions options;

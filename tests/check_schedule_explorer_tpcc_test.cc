@@ -71,8 +71,7 @@ TEST(ScheduleExplorerTpccTest, TpccCrashRestartSweepFindsNoDivergence) {
 
 TEST(ScheduleExplorerTpccTest, TpccBatchedApplySweepFindsNoDivergence) {
   // Multi-table TPC-C write sets through the coalescing MultiWrite path:
-  // seed-derived cluster topology and chunk sizes on top of the seed-derived
-  // workload shape.
+  // seed-derived cluster topology on top of the seed-derived workload shape.
   ScheduleExplorerOptions options;
   options.base_seed = 1;
   options.schedules = SeedsFromEnv(200);

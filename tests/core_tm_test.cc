@@ -56,6 +56,23 @@ TEST_F(TmTest, SingleTransactionApplies) {
   EXPECT_EQ(handle->state, TxnState::kCompleted);
 }
 
+TEST_F(TmTest, WriteSetAppliesAsOneMultiWrite) {
+  // The bottom pool publishes a committed write set with one MultiWrite,
+  // however large it is; the node counts every Multi* call it serves.
+  kv::InMemoryKvNode store;
+  TransactionManager tm(&store, translator_.get(), {});
+  rel::LogTransaction txn;
+  for (int64_t id = 1; id <= 40; ++id) {
+    txn.ops.push_back(rel::LogOp{rel::LogOpType::kInsert, "T", Value::Int(id),
+                                 {Value::Int(id), Value::Int(id)}});
+  }
+  TXREP_ASSERT_OK(tm.SubmitUpdate(std::move(txn))->Wait());
+  const kv::KvStoreStats stats = store.stats();
+  EXPECT_EQ(stats.puts, 40);
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(ReadV(store, 40), 40);
+}
+
 TEST_F(TmTest, ManyIndependentTransactions) {
   kv::InMemoryKvNode store;
   TmOptions options;

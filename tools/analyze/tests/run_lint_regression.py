@@ -54,7 +54,7 @@ BAD_FILES = {
 APPLY_PATH_FILES = [
     "src/core/txn_buffer.cc", "src/core/serial_applier.cc",
     "src/core/ticket_applier.cc", "src/core/transaction_manager.cc",
-    "src/core/batch_dispatcher.cc", "src/txrep/bootstrap.cc",
+    "src/txrep/bootstrap.cc",
 ]
 
 failures = []

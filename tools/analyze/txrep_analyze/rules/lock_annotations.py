@@ -9,7 +9,7 @@ member must either be annotated (TXREP_GUARDED_BY / TXREP_PT_GUARDED_BY) or
 carry an explicit `// analyze: lock-free(<why>)` waiver.
 
 Exempt by construction (no lock needed to touch them):
-  - the lock primitives themselves (Mutex, SharedMutex, CondVar, KeyedMutex);
+  - the lock primitives themselves (Mutex, SharedMutex, CondVar);
   - `std::atomic<...>` members;
   - const / constexpr members (immutable after construction);
   - static members (not instance state).
@@ -24,8 +24,6 @@ from ..model import Diagnostic, TranslationUnit
 LOCK_FREE_WAIVER = "analyze: lock-free("
 
 _MUTEX_TYPES = ("check::Mutex", "Mutex", "check::SharedMutex", "SharedMutex")
-_EXEMPT_TYPE_PARTS = ("Mutex", "CondVar", "KeyedMutex", "std::atomic<",
-                      "LockOrder")
 
 
 def _is_mutex_member(type_text: str) -> bool:
@@ -39,8 +37,8 @@ def _is_exempt_type(type_text: str) -> bool:
         return True
     base = t.replace("*", "").strip()
     tail = base.split("::")[-1].split("<")[0]
-    return tail in ("Mutex", "SharedMutex", "CondVar", "KeyedMutex",
-                    "MutexLock", "WriterMutexLock", "ReaderMutexLock")
+    return tail in ("Mutex", "SharedMutex", "CondVar", "MutexLock",
+                    "WriterMutexLock", "ReaderMutexLock")
 
 
 def run(tu: TranslationUnit, index, config) -> List[Diagnostic]:
