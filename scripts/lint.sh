@@ -38,13 +38,8 @@
 #     the acquire pairing that makes the node image trustworthy — so every
 #     other layer goes through the optimistic read API (DESIGN.md §14).
 #
-#  8. Stdlib randomness (std::mt19937, std::random_device, rand(), the
-#     <random> distributions) is forbidden everywhere in src/. Replay
-#     correctness rests on same-seed => byte-identical workload streams
-#     (DESIGN.md §15); ambient-seeded or platform-varying RNGs silently
-#     break that, and the src/workload/ generators are the most tempting
-#     place to reach for one. All randomness goes through txrep::Random /
-#     ZipfGenerator (src/common/random.h).
+# Stdlib randomness is the analyzer's det-nondet-rand rule
+# (scripts/analyze.sh), not a grep rule here.
 #
 # Exits non-zero listing every offending line.
 set -euo pipefail
@@ -120,15 +115,6 @@ version_peeks=$(grep -rn 'RawVersionWord' \
 if [[ -n "${version_peeks}" ]]; then
   echo "lint: raw version-word loads outside src/blink/ (use ReadBegin/ReadValidate):"
   echo "${version_peeks}"
-  fail=1
-fi
-
-stdlib_random=$(grep -rnE \
-  'std::(mt19937(_64)?|minstd_rand0?|ranlux[0-9_]+|knuth_b|random_device|default_random_engine|(uniform_int|uniform_real|normal|bernoulli|poisson|exponential|discrete)_distribution)|\bs?rand(om)?\s*\(' \
-  src --include='*.h' --include='*.cc' || true)
-if [[ -n "${stdlib_random}" ]]; then
-  echo "lint: stdlib randomness in src/ (use txrep::Random / ZipfGenerator from common/random.h):"
-  echo "${stdlib_random}"
   fail=1
 fi
 

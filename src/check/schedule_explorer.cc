@@ -45,8 +45,6 @@ struct ScheduleConfig {
   int64_t service_micros;
   double failure_rate;
   size_t gc_threshold;
-  bool buffer_read_cache;
-  bool class_filter;
   size_t max_node_keys;
   double read_only_rate;
 };
@@ -105,8 +103,6 @@ ScheduleConfig DeriveConfig(Random& rng) {
   // Occasional transient failures exercise the execution-restart path.
   config.failure_rate = rng.Bernoulli(0.25) ? 0.02 : 0.0;
   config.gc_threshold = 1 + rng.Uniform(32);  // Small: GC races with commits.
-  config.buffer_read_cache = rng.Bernoulli(0.8);
-  config.class_filter = rng.Bernoulli(0.8);
   config.max_node_keys = 4 + rng.Uniform(8);
   config.read_only_rate = rng.Bernoulli(0.5) ? 0.2 : 0.0;
   return config;
@@ -323,8 +319,6 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
   tm_options.top_threads = config.threads;
   tm_options.bottom_threads = config.threads;
   tm_options.completed_gc_threshold = config.gc_threshold;
-  tm_options.buffer_read_cache = config.buffer_read_cache;
-  tm_options.enable_class_filter = config.class_filter;
   if (options_.tpcc) {
     // TPC-C write sets span ~15+ keys across tables and nodes, so the same
     // 2% per-op injected failure rate needs far more retry budget than the

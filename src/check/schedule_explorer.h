@@ -24,8 +24,8 @@ struct ScheduleExplorerOptions {
 
   /// How many seeds to explore. Each seed derives a complete configuration:
   /// workload shape (hot-row count, statement mix), TM thread counts, store
-  /// service time, failure injection, GC threshold, buffer/filter toggles
-  /// and the read-only interleave rate.
+  /// service time, failure injection, GC threshold, B-link node size and
+  /// the read-only interleave rate.
   int schedules = 200;
 
   /// Update transactions generated per schedule.
@@ -102,9 +102,9 @@ struct ScheduleExplorerOptions {
   /// district/customer/item scale, warehouse Zipf skew, mix weights and
   /// remote-line fraction are all drawn from a private random stream. The
   /// contended district counters and cross-table multi-statement commits put
-  /// multi-table write sets (and their class signatures) into the explored
-  /// state space; interleaved read-only probes target CUSTOMER rows and
-  /// opt_latch index probes move to the churning STOCK.S_QUANTITY index.
+  /// multi-table write sets into the explored state space; interleaved
+  /// read-only probes target CUSTOMER rows and opt_latch index probes move to
+  /// the churning STOCK.S_QUANTITY index.
   /// Composes with crash_restart, batched_apply, traced and wire.
   bool tpcc = false;
 };

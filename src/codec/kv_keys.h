@@ -34,13 +34,6 @@ std::string BlinkNodeKey(std::string_view table, std::string_view column,
 /// Key of a B-link tree's metadata object (root pointer, id counter).
 std::string BlinkMetaKey(std::string_view table, std::string_view column);
 
-/// Extracts the (escaped) table component of any replica key — row key,
-/// hash-index key or B-link node/meta key. Every key the Query Translator
-/// produces embeds its table, which is what makes table-level *transaction
-/// classes* (paper §7) sound: transactions over disjoint table sets can
-/// never share a key.
-std::string_view TableComponentOfKey(std::string_view key);
-
 }  // namespace txrep::codec
 
 #endif  // TXREP_CODEC_KV_KEYS_H_

@@ -10,7 +10,6 @@
 #include "check/mutex.h"
 
 #include "common/status.h"
-#include "core/class_signature.h"
 #include "core/txn_buffer.h"
 #include "kv/kv_store.h"
 #include "trace/context.h"
@@ -79,10 +78,6 @@ class Transaction {
   Status execution_status;     // Outcome of the last body run.
   // analyze: lock-free(built during execute; read-only once the txn is queued)
   std::unique_ptr<TxnBuffer> buffer;  // Rebuilt on every (re-)execution.
-  /// Table-class Bloom signature of the last execution's key sets (paper §7
-  /// transaction-classes optimization; see ClassSignature).
-  // analyze: lock-free(built during execute; read-only once the txn is queued)
-  ClassSignature class_signature;
   /// Transactions parked on this one: restarted when it completes
   /// (Algorithm 1 line 11 / 25).
   // analyze: lock-free(guarded by the manager's commit-eval serialization, not a member mutex)

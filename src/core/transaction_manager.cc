@@ -47,7 +47,6 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
   c_gc_runs_ = metrics->GetCounter(obs::kTmGcRuns);
   c_gc_removed_ = metrics->GetCounter(obs::kTmGcRemoved);
   c_conflict_checks_ = metrics->GetCounter(obs::kTmConflictChecks);
-  c_class_filter_skips_ = metrics->GetCounter(obs::kTmClassFilterSkips);
   h_stage_execute_ = metrics->GetHistogram(obs::kStageLatency,
                                            {{"stage", obs::kStageExecute}});
   h_stage_commit_eval_ = metrics->GetHistogram(
@@ -139,19 +138,13 @@ void TransactionManager::ExecuteTask(const TxnPtr& txn) {
   // been missed).
   txn->start_time = clock_.Tick();
   const int64_t exec_start = NowMicros();
-  auto buffer =
-      std::make_unique<TxnBuffer>(store_, options_.buffer_read_cache);
+  auto buffer = std::make_unique<TxnBuffer>(store_);
   Status status = txn->body()(buffer.get());
   h_stage_execute_->Record(NowMicros() - exec_start);
-  // Derive the transaction-class signature from the key sets (paper §7).
-  ClassSignature signature;
-  signature.AddKeys(buffer->read_set());
-  signature.AddKeys(buffer->write_set());
   {
     check::MutexLock lock(&mu_);
     txn->buffer = std::move(buffer);
     txn->execution_status = std::move(status);
-    txn->class_signature = signature;
     txn->enqueue_micros = NowMicros();
     commit_req_pq_.push(txn);
     g_pq_depth_->Set(static_cast<int64_t>(commit_req_pq_.size()));
@@ -195,17 +188,6 @@ bool TransactionManager::Conflicts(const Transaction& a, const Transaction& b) {
          intersects(a_writes, b_reads);
 }
 
-bool TransactionManager::ConflictsFiltered(const Transaction& a,
-                                           const Transaction& b) {
-  if (options_.enable_class_filter &&
-      !a.class_signature.MayOverlap(b.class_signature)) {
-    c_class_filter_skips_->Increment();
-    return false;  // Disjoint table classes: provably conflict-free.
-  }
-  c_conflict_checks_->Increment();
-  return Conflicts(a, b);
-}
-
 void TransactionManager::RestartLocked(const TxnPtr& txn) {
   c_restarts_->Increment();
   ++txn->restart_count;
@@ -220,7 +202,8 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   // data; park it until the first conflicting predecessor completes. The
   // expected sequence stays put — the controller stalls, as in the paper.
   for (auto& [seq, tj] : committed_) {
-    if (ConflictsFiltered(*txn, *tj)) {
+    c_conflict_checks_->Increment();
+    if (Conflicts(*txn, *tj)) {
       c_conflicts_->Increment();
       c_restarts_->Increment();
       ++txn->restart_count;
@@ -231,7 +214,9 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   // Lines 15-22: conflicts with completed predecessors that completed after
   // this transaction started (concurrent ones). Restart immediately.
   for (auto& [seq, tj] : completed_) {
-    if (txn->start_time < tj->complete_time && ConflictsFiltered(*txn, *tj)) {
+    if (txn->start_time >= tj->complete_time) continue;
+    c_conflict_checks_->Increment();
+    if (Conflicts(*txn, *tj)) {
       c_conflicts_->Increment();
       RestartLocked(txn);
       return;
@@ -472,7 +457,6 @@ TmStats TransactionManager::stats() const {
   stats.gc_runs = c_gc_runs_->Value();
   stats.gc_removed = c_gc_removed_->Value();
   stats.conflict_checks = c_conflict_checks_->Value();
-  stats.class_filter_skips = c_class_filter_skips_->Value();
   return stats;
 }
 

@@ -49,14 +49,6 @@ struct TmOptions {
   /// Transient store failures during *execution* restart the transaction at
   /// most this many times before the TM declares failure.
   int max_execution_retries = 64;
-
-  /// Enables the buffer's read-through cache (ablation knob).
-  bool buffer_read_cache = true;
-
-  /// Enables the transaction-classes conflict pre-filter (paper §7's
-  /// proposed optimization): transactions whose table-class signatures are
-  /// disjoint skip the exact key-set intersection entirely.
-  bool enable_class_filter = true;
 };
 
 /// Counters exposed by the TM (snapshot via TransactionManager::stats()).
@@ -75,8 +67,13 @@ struct TmStats {
   int64_t apply_retries = 0;
   int64_t gc_runs = 0;
   int64_t gc_removed = 0;
-  /// Pairwise conflict evaluations performed / skipped by the class filter.
+  /// Pairwise key-set intersections Algorithm 1 evaluated: one per
+  /// committed predecessor scanned, one per completed predecessor that
+  /// completed after this transaction started.
   int64_t conflict_checks = 0;
+  /// Always 0. Kept only because the benchmark harness still reads it to
+  /// derive its `core.filter_pass_ratio` per-layer metric; it goes with
+  /// that metric in the next benchmark-contract change.
   int64_t class_filter_skips = 0;
 };
 
@@ -203,11 +200,6 @@ class TransactionManager {
   /// True iff the two transactions' key sets conflict (R/W, W/R or W/W).
   static bool Conflicts(const Transaction& a, const Transaction& b);
 
-  /// Conflicts() behind the class-signature pre-filter; updates filter
-  /// statistics.
-  bool ConflictsFiltered(const Transaction& a, const Transaction& b)
-      TXREP_REQUIRES(mu_);
-
   /// Schedules a fresh execution of `txn`.
   void RestartLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
 
@@ -270,8 +262,6 @@ class TransactionManager {
   obs::Counter* c_gc_removed_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_conflict_checks_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  obs::Counter* c_class_filter_skips_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_stage_execute_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)

@@ -4,8 +4,7 @@
 
 namespace txrep::core {
 
-TxnBuffer::TxnBuffer(kv::KvStore* base, bool read_cache)
-    : base_(base), read_cache_enabled_(read_cache) {}
+TxnBuffer::TxnBuffer(kv::KvStore* base) : base_(base) {}
 
 Status TxnBuffer::Put(const kv::Key& key, const kv::Value& value) {
   writes_[key] = WriteEntry{false, value};
@@ -29,24 +28,22 @@ Result<kv::Value> TxnBuffer::Get(const kv::Key& key) {
     return w->second.value;
   }
   // Read-through cache.
-  if (read_cache_enabled_) {
-    auto c = read_cache_.find(key);
-    if (c != read_cache_.end()) {
-      if (!c->second.has_value()) {
-        return Status::NotFound("key \"" + key + "\" not present (cached)");
-      }
-      return *c->second;
+  auto c = read_cache_.find(key);
+  if (c != read_cache_.end()) {
+    if (!c->second.has_value()) {
+      return Status::NotFound("key \"" + key + "\" not present (cached)");
     }
+    return *c->second;
   }
   // Base store; the access is what defines the read set.
   read_set_.insert(key);
   Result<kv::Value> result = base_->Get(key);
   if (result.ok()) {
-    if (read_cache_enabled_) read_cache_[key] = result.value();
+    read_cache_[key] = result.value();
     return result;
   }
   if (result.status().IsNotFound()) {
-    if (read_cache_enabled_) read_cache_[key] = std::nullopt;
+    read_cache_[key] = std::nullopt;
   }
   return result;
 }

@@ -33,10 +33,7 @@ namespace txrep::core {
 /// Not thread-safe: a buffer belongs to exactly one executing transaction.
 class TxnBuffer : public kv::KvStore {
  public:
-  /// `read_cache` disables the read-through cache when false (ablation:
-  /// every GET of an unwritten key then hits the base store again, but the
-  /// read set is recorded identically).
-  explicit TxnBuffer(kv::KvStore* base, bool read_cache = true);
+  explicit TxnBuffer(kv::KvStore* base);
 
   TxnBuffer(const TxnBuffer&) = delete;
   TxnBuffer& operator=(const TxnBuffer&) = delete;
@@ -77,7 +74,6 @@ class TxnBuffer : public kv::KvStore {
   };
 
   kv::KvStore* base_;  // Not owned.
-  const bool read_cache_enabled_;
 
   // Writes override cache; keys ordered for deterministic ApplyTo.
   std::map<kv::Key, WriteEntry> writes_;

@@ -215,7 +215,13 @@ class TxRepSystem {
   /// The SLO watchdog (null unless options.slo.enabled).
   trace::SloWatchdog* slo() { return slo_.get(); }
 
-  /// Highest LSN applied on the replica.
+  /// The larger of the subscriber's hand-off LSN (the highest LSN passed
+  /// to the apply sink) and the LSN of the snapshot the replica was
+  /// bootstrapped from. Under the serial applier the sink applies before it
+  /// returns, so this is the applied LSN. Under the TM the sink only
+  /// submits, so the transaction at this LSN, and some below it, may still
+  /// be executing or applying; only an idle TM makes it an applied prefix.
+  /// A true applied-prefix watermark is ROADMAP item 5.
   uint64_t replica_lsn() const;
 
   /// Audits the replica against the database (row objects, hash postings,
@@ -223,10 +229,12 @@ class TxRepSystem {
   /// meaningful answer.
   Result<qt::ConsistencyReport> AuditReplica();
 
-  /// Truncates the database's transaction log up to what the replica has
-  /// durably applied (shipped-and-completed LSN). Returns the truncation
-  /// point. Safe at any time: the publisher never re-reads below its shipped
-  /// cursor, and entries above the returned LSN are retained.
+  /// Truncates the database's transaction log up to replica_lsn(), after
+  /// first waiting for the TM (if any) to go idle so that every LSN handed
+  /// off so far has been applied. A failed TM ends that wait early, and the
+  /// truncation point may then cover transactions it never applied.
+  /// Returns the truncation point. The publisher never re-reads below its
+  /// shipped cursor, and entries above the returned LSN are retained.
   uint64_t TruncateReplicatedLog();
 
   const qt::QueryTranslator& translator() const { return *translator_; }

@@ -173,6 +173,47 @@ TEST(EquivalenceSyntheticTest, PaperSyntheticWorkloadEquivalence) {
   testing::VerifyReplicaMatchesDatabase(cluster, db, translator);
 }
 
+TEST(EquivalenceMultiTableTest, InterleavedSameRowChainsEqualSerial) {
+  // Two tables, each with one row updated over and over, the updates
+  // alternating between the tables: every transaction conflicts with the
+  // one two positions back and with none on the other table.
+  rel::Database db;
+  for (const char* name : {"T1", "T2"}) {
+    Result<rel::TableSchema> schema = rel::TableSchema::Create(
+        name, {{"ID", rel::ValueType::kInt64}, {"V", rel::ValueType::kInt64}},
+        "ID");
+    TXREP_ASSERT_OK(schema.status());
+    TXREP_ASSERT_OK(db.CreateTable(*schema));
+    TXREP_ASSERT_OK(
+        db.ExecuteTransaction(
+              {rel::InsertStatement{name, {}, {Value::Int(1), Value::Int(0)}}})
+            .status());
+  }
+  for (int i = 0; i < 100; ++i) {
+    TXREP_ASSERT_OK(
+        db.ExecuteTransaction(
+              {rel::UpdateStatement{
+                  i % 2 == 0 ? "T1" : "T2",
+                  {{"V", Value::Int(i)}},
+                  {rel::Predicate{"ID", rel::PredicateOp::kEq, Value::Int(1),
+                                  {}}}}})
+            .status());
+  }
+
+  qt::QueryTranslator translator(&db.catalog(), {});
+  kv::InMemoryKvNode serial_store, concurrent_store;
+  TXREP_ASSERT_OK(testing::ReplaySerial(db, translator, &serial_store));
+  TmOptions options;
+  options.top_threads = 16;
+  options.bottom_threads = 16;
+  TmStats stats;
+  TXREP_ASSERT_OK(testing::ReplayConcurrent(db, translator, &concurrent_store,
+                                            options, &stats));
+  testing::ExpectDumpsEqual(serial_store, concurrent_store);
+  testing::VerifyReplicaMatchesDatabase(concurrent_store, db, translator);
+  EXPECT_EQ(stats.completed, static_cast<int64_t>(db.log().size()));
+}
+
 TEST(EquivalenceSyntheticTest, RepeatedReplayIsDeterministic) {
   rel::Database db;
   workload::SyntheticWorkload workload(

@@ -1,5 +1,6 @@
 #include "core/transaction_manager.h"
 
+#include "check/mutex.h"
 #include "codec/kv_keys.h"
 #include "codec/row_codec.h"
 #include "gtest/gtest.h"
@@ -14,19 +15,23 @@ using rel::Value;
 class TmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    Result<rel::TableSchema> schema =
-        rel::TableSchema::Create("T",
-                                 {{"ID", rel::ValueType::kInt64},
-                                  {"V", rel::ValueType::kInt64}},
-                                 "ID");
-    ASSERT_TRUE(schema.ok());
-    TXREP_ASSERT_OK(catalog_.AddTable(*schema));
+    for (const char* name : {"T", "U"}) {
+      Result<rel::TableSchema> schema =
+          rel::TableSchema::Create(name,
+                                   {{"ID", rel::ValueType::kInt64},
+                                    {"V", rel::ValueType::kInt64}},
+                                   "ID");
+      ASSERT_TRUE(schema.ok());
+      TXREP_ASSERT_OK(catalog_.AddTable(*schema));
+    }
     translator_ = std::make_unique<qt::QueryTranslator>(&catalog_);
   }
 
-  rel::LogTransaction InsertTxn(int64_t id, int64_t v) {
+  rel::LogTransaction InsertTxn(int64_t id, int64_t v,
+                                const char* table = "T") {
     rel::LogTransaction txn;
-    txn.ops.push_back(rel::LogOp{rel::LogOpType::kInsert, "T", Value::Int(id),
+    txn.ops.push_back(rel::LogOp{rel::LogOpType::kInsert, table,
+                                 Value::Int(id),
                                  {Value::Int(id), Value::Int(v)}});
     return txn;
   }
@@ -71,6 +76,69 @@ TEST_F(TmTest, WriteSetAppliesAsOneMultiWrite) {
   EXPECT_EQ(stats.puts, 40);
   EXPECT_EQ(stats.batches, 1);
   EXPECT_EQ(ReadV(store, 40), 40);
+}
+
+/// Forwards to an in-memory node, but holds the first MultiWrite (the first
+/// committed transaction's apply) until Release().
+class HoldFirstApplyStore : public kv::KvStore {
+ public:
+  Status Put(const kv::Key& key, const kv::Value& value) override {
+    return base_.Put(key, value);
+  }
+  Result<kv::Value> Get(const kv::Key& key) override { return base_.Get(key); }
+  Status Delete(const kv::Key& key) override { return base_.Delete(key); }
+  Status MultiWrite(std::span<const kv::KvWrite> batch,
+                    size_t* applied) override {
+    {
+      check::MutexLock lock(&mu_);
+      if (!first_seen_) {
+        first_seen_ = true;
+        cv_.NotifyAll();
+        while (!released_) cv_.Wait();
+      }
+    }
+    return base_.MultiWrite(batch, applied);
+  }
+  bool Contains(const kv::Key& key) override { return base_.Contains(key); }
+  size_t Size() override { return base_.Size(); }
+  kv::StoreDump Dump() override { return base_.Dump(); }
+
+  /// Blocks until the first MultiWrite is being held.
+  void AwaitHeld() {
+    check::MutexLock lock(&mu_);
+    while (!first_seen_) cv_.Wait();
+  }
+  void Release() {
+    check::MutexLock lock(&mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  kv::InMemoryKvNode base_;
+  check::Mutex mu_{"test.hold_first_apply"};
+  check::CondVar cv_{&mu_};
+  bool first_seen_ TXREP_GUARDED_BY(mu_) = false;
+  bool released_ TXREP_GUARDED_BY(mu_) = false;
+};
+
+TEST_F(TmTest, EveryCommittedPredecessorCostsOneConflictCheck) {
+  // The second transaction is evaluated while the first is COMMITTED but not
+  // yet applied. Their tables differ, so the exact key-set check runs once
+  // and finds no conflict.
+  HoldFirstApplyStore store;
+  TransactionManager tm(&store, translator_.get(), {});
+  auto first = tm.SubmitUpdate(InsertTxn(1, 10, "T"));
+  store.AwaitHeld();
+  auto second = tm.SubmitUpdate(InsertTxn(1, 20, "U"));
+  const Status second_status = second->Wait();
+  const TmStats stats = tm.stats();
+  store.Release();  // Before any assertion: the TM's teardown drains.
+  TXREP_ASSERT_OK(second_status);
+  EXPECT_EQ(stats.conflict_checks, 1);
+  EXPECT_EQ(stats.conflicts, 0);
+  TXREP_ASSERT_OK(first->Wait());
+  EXPECT_EQ(ReadV(store, 1), 10);
 }
 
 TEST_F(TmTest, ManyIndependentTransactions) {

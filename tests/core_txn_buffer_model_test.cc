@@ -29,7 +29,7 @@ TEST_P(BufferModelTest, MatchesReferenceModel) {
     base_model[key] = value;
   }
 
-  TxnBuffer buffer(&base, rng.Bernoulli(0.5));
+  TxnBuffer buffer(&base);
   // Overlay model: nullopt = tombstone.
   std::map<std::string, std::optional<std::string>> overlay;
 

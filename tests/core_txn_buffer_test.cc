@@ -38,14 +38,6 @@ TEST_F(TxnBufferTest, ReadCachePreventsSecondBaseAccess) {
   EXPECT_EQ(base_.stats().gets, 2);  // One per distinct key.
 }
 
-TEST_F(TxnBufferTest, DisabledCacheRereadsBase) {
-  TxnBuffer buffer(&base_, /*read_cache=*/false);
-  (void)buffer.Get("existing");
-  (void)buffer.Get("existing");
-  EXPECT_EQ(base_.stats().gets, 2);
-  EXPECT_TRUE(buffer.read_set().contains("existing"));
-}
-
 TEST_F(TxnBufferTest, WritesStayBuffered) {
   TxnBuffer buffer(&base_);
   TXREP_ASSERT_OK(buffer.Put("new", "v"));

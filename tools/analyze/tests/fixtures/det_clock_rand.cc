@@ -1,7 +1,7 @@
 // fixture-path: src/core/det_clock_rand.cc
 // fixture-rules: determinism
 //
-// Raw clock / RNG primitives outside the sanctioned timing layer.
+// Raw clocks outside the sanctioned timing layer; stdlib RNGs anywhere.
 
 #include <chrono>
 #include <cstdlib>
@@ -24,6 +24,16 @@ int Jitter() {
 unsigned Seed() {
   std::random_device rd;  // expect: det-nondet-rand
   return rd();
+}
+
+int Roll() {
+  std::mt19937 gen(42);  // expect: det-nondet-rand
+  std::uniform_int_distribution<int> die(1, 6);  // expect: det-nondet-rand
+  return die(gen);
+}
+
+long Legacy() {
+  return random();  // expect: det-nondet-rand
 }
 
 // `rand` as part of an ordinary identifier is not a diagnostic.

@@ -10,10 +10,14 @@ replica is byte-identical to serial replay of the transactional log
                        encoding, dump building, file write). Hash-iteration
                        order is implementation- and salt-dependent, so any
                        order-sensitive sink diverges across replicas.
-  det-nondet-clock /   raw wall-clock or RNG primitives outside the
-  det-nondet-rand      sanctioned layers (common/clock.h, common/random.*,
-                       obs/, trace/) — replayed state must never depend on
-                       when or where it replays.
+  det-nondet-clock     raw wall-clock primitives outside the sanctioned
+                       timing layers (common/clock.h, obs/, trace/) —
+                       replayed state must never depend on when it replays.
+  det-nondet-rand      stdlib randomness anywhere in src/: the C rand family
+                       and the <random> engines and distributions. Same seed
+                       must mean a byte-identical workload stream, so all
+                       randomness goes through txrep::Random (common/random.h),
+                       which is itself built from none of these.
   det-pointer-key      std::map/std::set keyed by a pointer type: ordered,
                        but ordered by *address*, which differs per process.
 """
@@ -31,23 +35,32 @@ from ..model import Diagnostic, TranslationUnit
 APPLY_PATH_DIRS = ("src/core/", "src/kv/", "src/recov/", "src/txrep/",
                    "src/codec/")
 
-# Files allowed to touch clocks / RNG primitives directly.
-SANCTIONED_TIMING_FILES = ("src/common/clock.h", "src/common/random.h",
-                           "src/common/random.cc")
+# Files allowed to read clocks directly. No file is allowed stdlib RNGs.
+SANCTIONED_TIMING_FILES = ("src/common/clock.h",)
 SANCTIONED_TIMING_DIRS = ("src/obs/", "src/trace/")
 
 # Loop-body calls that make hash-order iteration replica-visible.
 SINK_CALLEES = {
     "Put", "Delete", "MultiWrite", "MultiPut", "MultiDelete", "Append",
     "AppendLengthPrefixed", "AppendFixed64", "AppendFixed32", "Encode",
-    "EncodeTo", "push_back", "emplace_back", "emplace", "insert", "AddKey",
+    "EncodeTo", "push_back", "emplace_back", "emplace", "insert",
     "fwrite", "Write", "WriteRecord", "append",
 }
 
 _UNORDERED = ("std::unordered_map<", "std::unordered_set<")
 _CLOCKS = {"system_clock", "steady_clock", "high_resolution_clock",
            "gettimeofday", "clock_gettime", "localtime", "gmtime"}
-_RANDS = {"rand", "srand", "random_device", "rand_r", "drand48", "lrand48"}
+# C RNG functions: flagged when called or qualified (`rand_budget` is fine).
+_RAND_CALLS = {"rand", "srand", "random", "srandom", "rand_r", "drand48",
+               "lrand48"}
+# <random> types: flagged wherever they are named.
+_RAND_TYPES = {"random_device", "mt19937", "mt19937_64", "minstd_rand",
+               "minstd_rand0", "knuth_b", "default_random_engine"}
+
+
+def _is_rand_type(name: str) -> bool:
+    return name in _RAND_TYPES or name.startswith("ranlux") or \
+        name.endswith("_distribution")
 
 
 def run(tu: TranslationUnit, index, config) -> List[Diagnostic]:
@@ -65,8 +78,7 @@ def _sanctioned_for_timing(path: str) -> bool:
 
 
 def _clock_and_rand(tu: TranslationUnit) -> List[Diagnostic]:
-    if _sanctioned_for_timing(tu.path):
-        return []
+    clocks_ok = _sanctioned_for_timing(tu.path)
     diags: List[Diagnostic] = []
     toks = tu.lexed.tokens
     for k, t in enumerate(toks):
@@ -74,20 +86,21 @@ def _clock_and_rand(tu: TranslationUnit) -> List[Diagnostic]:
             continue
         nxt = toks[k + 1] if k + 1 < len(toks) else None
         if t.text in _CLOCKS:
+            if clocks_ok:
+                continue
             diags.append(Diagnostic(
                 tu.path, t.line, "det-nondet-clock",
                 f"raw clock `{t.text}` outside the sanctioned timing layer",
                 hint="use txrep::NowMicros() (common/clock.h); replica-visible "
                      "state must not read wall clocks"))
-        elif t.text in _RANDS:
-            # `rand` must be a call (or std::-qualified) to count; plain
-            # identifiers named rand_* are fine.
+        else:
             is_call = nxt is not None and nxt.kind == PUNCT and nxt.text == "("
             qualified = k >= 2 and toks[k - 1].text == "::"
-            if t.text in ("random_device",) or is_call or qualified:
+            if _is_rand_type(t.text) or \
+                    (t.text in _RAND_CALLS and (is_call or qualified)):
                 diags.append(Diagnostic(
                     tu.path, t.line, "det-nondet-rand",
-                    f"raw RNG `{t.text}` outside common/random.h",
+                    f"stdlib RNG `{t.text}` (not seed-deterministic)",
                     hint="route randomness through txrep::Random (seedable, "
                          "deterministic under test)"))
     return diags
