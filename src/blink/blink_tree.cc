@@ -15,6 +15,17 @@ bool BeyondNode(const BlinkNode& node, const EntryKey& key) {
   return node.has_high_key && node.high_key < key;
 }
 
+/// Whether a lock-free walk reached a node at the level it expected (a
+/// negative `want` accepts any level: the root). On a consistent store a
+/// child sits exactly one level below its parent and a right sibling on its
+/// node's level, because node ids are allocated once and never reused. A
+/// stale buffered view can stitch node images of different tree shapes
+/// together, so a child pointer may lead back up the tree; a descent that
+/// followed it would never end. Walks restart from the root instead.
+bool AtExpectedLevel(const BlinkNode& node, int64_t want) {
+  return want < 0 || node.level == want;
+}
+
 /// Backoff between parent-level retry rounds (DescendToLevel waiting out an
 /// in-flight root publication).
 constexpr int64_t kParentWaitMicros = 50;
@@ -162,6 +173,7 @@ Result<BlinkTree::LeafView> BlinkTree::DescendToLeafView(
     // entry point — right-links and extra descent steps repair the rest.
     TXREP_ASSIGN_OR_RETURN(BlinkMeta meta, ReadMeta());
     uint64_t id = meta.root_id;
+    int64_t want_level = -1;
     int hops = 0;
     bool from_root = false;
     while (!from_root) {
@@ -173,6 +185,11 @@ Result<BlinkTree::LeafView> BlinkTree::DescendToLeafView(
         }
         return node.status();
       }
+      if (!AtExpectedLevel(*node, want_level)) {
+        from_root = true;  // Stitched snapshot: restart the descent.
+        break;
+      }
+      want_level = node->level;
       if (BeyondNode(*node, key)) {
         if (node->right_id == 0) {
           return Status::Corruption("blink: high key set on rightmost node " +
@@ -188,6 +205,7 @@ Result<BlinkTree::LeafView> BlinkTree::DescendToLeafView(
       }
       if (node->is_leaf()) return LeafView{id, *std::move(node)};
       if (path != nullptr) path->push_back(id);
+      --want_level;
       id = node->children[ChildIndexFor(*node, key)];
     }
   }
@@ -212,6 +230,7 @@ Result<uint64_t> BlinkTree::LeftmostLeaf() {
     }
     TXREP_ASSIGN_OR_RETURN(BlinkMeta meta, ReadMeta());
     uint64_t id = meta.root_id;
+    int64_t want_level = -1;
     bool again = false;
     while (!again) {
       Result<BlinkNode> node = ReadNodeOpt(id);
@@ -222,7 +241,12 @@ Result<uint64_t> BlinkTree::LeftmostLeaf() {
         }
         return node.status();
       }
+      if (!AtExpectedLevel(*node, want_level)) {
+        again = true;  // Stitched snapshot: restart the descent.
+        break;
+      }
       if (node->is_leaf()) return id;
+      want_level = static_cast<int64_t>(node->level) - 1;
       id = node->children.front();
     }
   }
@@ -242,6 +266,7 @@ Result<uint64_t> BlinkTree::DescendToLevel(const EntryKey& key,
     // root the previous round could not see yet.
     TXREP_ASSIGN_OR_RETURN(BlinkMeta meta, ReadMeta());
     uint64_t id = meta.root_id;
+    int64_t want_level = -1;
     int hops = 0;
     bool retry = false;
     while (!retry) {
@@ -253,6 +278,11 @@ Result<uint64_t> BlinkTree::DescendToLevel(const EntryKey& key,
         }
         return node.status();
       }
+      if (!AtExpectedLevel(*node, want_level)) {
+        retry = true;  // Stitched snapshot: retry from the root.
+        break;
+      }
+      want_level = node->level;
       if (BeyondNode(*node, key)) {
         if (node->right_id == 0) {
           return Status::Corruption("blink: high key set on rightmost node");
@@ -274,6 +304,7 @@ Result<uint64_t> BlinkTree::DescendToLevel(const EntryKey& key,
         retry = true;
         break;
       }
+      --want_level;
       id = node->children[ChildIndexFor(*node, key)];
     }
   }

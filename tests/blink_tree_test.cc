@@ -282,6 +282,43 @@ TEST(BlinkTreeTornImageTest, EntryCountIgnoresEntriesAboveHighKey) {
   }
 }
 
+TEST(BlinkTreeStitchedSnapshotTest, ChildPointerBackUpTheTreeAborts) {
+  // A buffered view stitched from two tree shapes: root 1 (level 1) routes to
+  // node 2, whose image from another moment claims level 1 too and routes
+  // back to node 1 — a cycle no consistent store can hold. Every walk must end
+  // in Aborted, which the TM answers by re-executing on a fresh snapshot. The
+  // pre-fix descent followed the cycle forever, growing its path until
+  // allocation failed.
+  kv::InMemoryKvNode store;
+  PlantMeta(store, "T", "C", BlinkMeta{.root_id = 1, .next_id = 3});
+  BlinkNode root;
+  root.level = 1;
+  root.separators = {EntryKey{Value::Int(50), ""}};
+  root.children = {2, 2};
+  PlantNode(store, "T", "C", 1, root);
+  BlinkNode stitched = root;
+  stitched.children = {1, 1};
+  PlantNode(store, "T", "C", 2, stitched);
+
+  BlinkTreeOptions options;
+  options.max_read_restarts = 4;
+  options.max_parent_retries = 4;  // Keep the bounded waits short.
+  BlinkTree tree(&store, "T", "C", options);
+
+  const EntryKey key{Value::Int(10), "r10"};
+  EXPECT_TRUE(tree.Contains(key.value, key.row_key).status().IsAborted());
+  EXPECT_TRUE(tree.Insert(key.value, key.row_key).IsAborted());
+  EXPECT_TRUE(tree.RangeScan(Value::Int(0), Value::Int(100))
+                  .status()
+                  .IsAborted());
+  EXPECT_TRUE(tree.RangeScanBounds(std::nullopt, std::nullopt)
+                  .status()
+                  .IsAborted());
+  EXPECT_TRUE(tree.EntryCount().status().IsAborted());
+  EXPECT_TRUE(
+      BlinkTreeTestPeer::DescendToLevel(tree, key, 0).status().IsAborted());
+}
+
 TEST(BlinkTreeRootGrowthTest, DescendToLevelWaitsForRootGrowth) {
   // A writer needs the parent level of a node whose split outran the root's
   // growth: DescendToLevel starts while the root is still a lone leaf and
