@@ -1,62 +1,133 @@
-// Ablation C: publisher batch size vs. end-to-end replication lag, measured
-// through the full pipeline (database -> broker -> subscriber -> TM ->
-// replica). Larger batches amortize messages but delay the first
-// transaction of each batch.
+// Ablation C: publisher batch size vs. replication lag and transactions per
+// message, through the middleware hop the batch size governs (transaction
+// log -> publisher pump -> broker -> subscriber hand-off). The pump wakes on
+// every commit (TxLog::WaitForAppend), so the batch size only matters when a
+// backlog builds up. Two arms per batch size:
 //
-// Expected: mean lag grows with the batch size under a steady commit stream;
-// throughput is mostly unaffected (the TM is the bottleneck, not the wire).
+//  - stream:  commits arrive one at a time on a fixed 2000/s schedule with
+//             the pump already running. Reports mean and p95 lag (commit ->
+//             subscriber hand-off) and transactions per message.
+//  - backlog: the log already holds 50 or 1000 commits when the pump
+//             starts. Reports transactions per message and drain throughput.
+//
+// Expected: under the stream every message carries about one transaction
+// and lag does not depend on the batch size; under the backlog each message
+// carries min(batch, backlog) transactions. So a backlog still fills whole
+// batches without any poll interval.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/clock.h"
-#include "txrep/system.h"
-#include "workload/synthetic.h"
+#include "common/histogram.h"
+#include "mw/broker.h"
+#include "mw/publisher.h"
+#include "mw/subscriber.h"
+#include "rel/txlog.h"
 
 namespace txrep::bench {
 namespace {
 
-constexpr int kUpdates = 800;
-constexpr uint64_t kSeed = 112;
+constexpr int kStreamCommits = 1000;
+constexpr int64_t kStreamGapMicros = 500;  // 2000 commits/s.
+
+std::vector<rel::LogOp> MakeOps(int64_t pk) {
+  return {rel::LogOp{rel::LogOpType::kUpdate, "ITEM", rel::Value::Int(pk),
+                     {rel::Value::Int(pk), rel::Value::Str("payload")}}};
+}
+
+void ReportMessages(benchmark::State& state, int txns,
+                    const mw::PublisherAgent& publisher) {
+  state.counters["messages"] =
+      static_cast<double>(publisher.messages_published());
+  state.counters["tx_per_msg"] =
+      static_cast<double>(txns) /
+      static_cast<double>(publisher.messages_published());
+}
 
 // arg: publisher batch size.
-void BM_AblationBatchLag(benchmark::State& state) {
+void BM_BatchLagStream(benchmark::State& state) {
   const auto batch = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    TxRepOptions options;
-    options.measure_lag = true;
-    options.cluster.node.service_time_micros = 40;
-    options.cluster.node.service_slots = 4;
-    options.publisher.batch_size = batch;
-    options.publisher.poll_interval_micros = 300;
-    TxRepSystem sys(options);
-    workload::SyntheticWorkload workload(
-        {.num_items = 2000, .hot_range = 2000, .seed = kSeed});
-    if (!workload.CreateSchema(sys.database()).ok() ||
-        !workload.Populate(sys.database()).ok() || !sys.Start().ok()) {
-      state.SkipWithError("setup failed");
+    rel::TxLog log;
+    mw::Broker broker;
+    Histogram lag;
+    mw::SubscriberAgent subscriber(&broker, "t", [&](rel::LogTransaction txn) {
+      lag.Record(NowMicros() - txn.commit_micros);
+      return Status::OK();
+    });
+    mw::PublisherAgent publisher(&log, &broker,
+                                 {.topic = "t", .batch_size = batch});
+    publisher.Start();
+    Stopwatch sw;
+    const int64_t start = NowMicros();
+    for (int i = 0; i < kStreamCommits; ++i) {
+      const int64_t due = start + i * kStreamGapMicros;
+      const int64_t now = NowMicros();
+      if (due > now) SleepForMicros(due - now);
+      log.Append(MakeOps(i));
+    }
+    if (!subscriber.WaitForLsn(kStreamCommits)) {
+      state.SkipWithError("subscriber never caught up");
       break;
     }
+    state.SetIterationTime(sw.ElapsedSeconds());
+    publisher.Stop();
+    broker.Shutdown();
+    subscriber.Stop();
+    state.counters["mean_lag_ms"] = lag.Mean() / 1e3;
+    state.counters["p95_lag_ms"] = lag.Percentile(0.95) / 1e3;
+    ReportMessages(state, kStreamCommits, publisher);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kStreamCommits);
+}
+
+// args: publisher batch size, backlog length.
+void BM_BatchLagBacklog(benchmark::State& state) {
+  const auto batch = static_cast<size_t>(state.range(0));
+  const auto backlog = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    rel::TxLog log;
+    for (int i = 0; i < backlog; ++i) log.Append(MakeOps(i));
+    mw::Broker broker;
+    mw::SubscriberAgent subscriber(&broker, "t", [](rel::LogTransaction) {
+      return Status::OK();
+    });
+    mw::PublisherAgent publisher(&log, &broker,
+                                 {.topic = "t", .batch_size = batch});
     Stopwatch sw;
-    if (!workload.Run(sys.database(), kUpdates).ok() ||
-        !sys.SyncToLatest().ok()) {
-      state.SkipWithError("run failed");
+    publisher.Start();
+    if (!subscriber.WaitForLsn(backlog)) {
+      state.SkipWithError("subscriber never caught up");
       break;
     }
     const double secs = sw.ElapsedSeconds();
-    while (sys.lag_histogram().count() < kUpdates) SleepForMicros(2000);
     state.SetIterationTime(secs);
-    state.counters["mean_lag_ms"] = sys.lag_histogram().Mean() / 1e3;
-    state.counters["p95_lag_ms"] = sys.lag_histogram().Percentile(0.95) / 1e3;
-    state.counters["tx_per_s"] = kUpdates / secs;
+    publisher.Stop();
+    broker.Shutdown();
+    subscriber.Stop();
+    state.counters["tx_per_s"] = backlog / secs;
+    ReportMessages(state, backlog, publisher);
   }
-  state.SetItemsProcessed(kUpdates);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          backlog);
 }
 
-BENCHMARK(BM_AblationBatchLag)
+BENCHMARK(BM_BatchLagStream)
     ->Arg(1)
     ->Arg(10)
     ->Arg(100)
     ->ArgNames({"batch"})
+    ->UseManualTime()
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_BatchLagBacklog)
+    ->ArgsProduct({{1, 10, 100}, {50, 1000}})
+    ->ArgNames({"batch", "backlog"})
     ->UseManualTime()
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

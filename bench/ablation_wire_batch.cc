@@ -120,7 +120,6 @@ void RunReplay(benchmark::State& state, size_t batch, bool wire) {
 
     mw::PublisherAgent publisher(&db.log(), &broker,
                                  {.topic = kTopic, .batch_size = batch,
-                                  .poll_interval_micros = 100,
                                   .start_after_lsn = 0});
     Stopwatch sw;
     while (publisher.shipped_lsn() < last_lsn) {

@@ -39,7 +39,6 @@ LagReport RunOnce(bool concurrent, int num_updates) {
   options.tm.top_threads = 20;
   options.tm.bottom_threads = 20;
   options.publisher.batch_size = 50;
-  options.publisher.poll_interval_micros = 500;
   txrep::TxRepSystem sys(options);
 
   txrep::workload::SyntheticWorkload workload(

@@ -6,6 +6,7 @@
 #   scripts/ci.sh asan       # + ASan+UBSan pass over the same set
 #   scripts/ci.sh all        # plain + tsan + asan
 #   scripts/ci.sh --matrix   # every flavor below; fails on the first red
+#   scripts/ci.sh bench-suite  # just the bench-suite flavor
 #
 # Matrix flavors (DESIGN.md §8):
 #   release      plain build, full test suite (the tier-1 gate)
@@ -22,6 +23,10 @@
 #                blocking-under-lock + its fixture/lint-regression tests
 #                (SKIP when python3 is not installed)
 #   lint         scripts/lint.sh (raw-mutex & metric-name rules)
+#   bench-suite  builds the repo benchmark (bench_suite/, a separate CMake
+#                package) into build-bench-suite/ against the current src/
+#                and smoke-runs it: python3 bench_suite/run.py --smoke
+#                (SKIP when python3 is not installed)
 #
 # Each flavor builds into its own build-<flavor>/ tree so nothing disturbs
 # the primary build/.
@@ -139,6 +144,17 @@ run_lint() {
   note lint PASS
 }
 
+run_bench_suite() {
+  echo "=== bench-suite: build + smoke-run the repo benchmark ==="
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "bench-suite: SKIP (python3 not installed)"
+    note bench-suite "SKIP (no python3)"
+    return 0
+  fi
+  CARGO_TARGET_DIR=build-bench-suite python3 bench_suite/run.py --smoke
+  note bench-suite PASS
+}
+
 run_matrix() {
   run_plain
   run_sanitized thread tsan
@@ -148,6 +164,7 @@ run_matrix() {
   run_tidy
   run_analyze
   run_lint
+  run_bench_suite
   print_summary
 }
 
@@ -157,7 +174,8 @@ case "${MODE}" in
   asan) run_plain; run_sanitized address asan-ubsan ;;
   all) run_plain; run_sanitized thread tsan; run_sanitized address asan-ubsan ;;
   --matrix|matrix) run_matrix ;;
-  *) echo "usage: $0 [plain|tsan|asan|all|--matrix]" >&2; exit 2 ;;
+  bench-suite) run_bench_suite ;;
+  *) echo "usage: $0 [plain|tsan|asan|all|--matrix|bench-suite]" >&2; exit 2 ;;
 esac
 
 echo "ci: OK (${MODE})"

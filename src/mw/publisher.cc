@@ -77,19 +77,23 @@ void PublisherAgent::Start() {
 
 void PublisherAgent::Stop() {
   if (!running_.exchange(false)) return;
+  log_->WakeWaiters();
   if (pump_thread_.joinable()) pump_thread_.join();
 }
 
 void PublisherAgent::PumpLoop() {
   while (running_.load(std::memory_order_relaxed)) {
     Result<size_t> shipped = PumpOnce();
+    if (shipped.ok() && *shipped > 0) continue;  // Drain a backlog first.
+    uint64_t wait_after = shipped_lsn();
     if (!shipped.ok()) {
+      // Publish fails only once the broker is shut down: retry once per
+      // new commit rather than in a loop.
       TXREP_LOG(kWarn) << "publisher pump failed: "
                        << shipped.status().ToString();
+      wait_after = log_->LastLsn();
     }
-    if (!shipped.ok() || *shipped == 0) {
-      SleepForMicros(options_.poll_interval_micros);
-    }
+    log_->WaitForAppend(wait_after, running_);
   }
 }
 

@@ -21,12 +21,10 @@ struct PublisherOptions {
   /// Topic the replication messages go to.
   std::string topic = "txrep.log";
 
-  /// Maximum transactions packed into one replication message.
+  /// Maximum transactions packed into one replication message. The
+  /// background pump wakes on every commit, so a message carries more than
+  /// one transaction only when a backlog built up while it was publishing.
   size_t batch_size = 100;
-
-  /// Poll interval of the background pump (paper: "the frequency of reading
-  /// the log is a tunable parameter").
-  int64_t poll_interval_micros = 2000;
 
   /// Transactions with lsn <= this are never shipped (they are part of the
   /// initial snapshot the replica was loaded from).
@@ -34,8 +32,10 @@ struct PublisherOptions {
 };
 
 /// The publisher agent of the replication middleware (paper Appendix A):
-/// periodically reads the database transaction log, packs new transactions
-/// into replication messages and publishes them to the broker.
+/// tails the database transaction log, packs new transactions into
+/// replication messages and publishes them to the broker. The background
+/// pump reads the log whenever a commit lands (TxLog::WaitForAppend), so an
+/// idle log costs nothing and a new commit waits for no timer.
 class PublisherAgent {
  public:
   /// `log` and `broker` must outlive the agent. `metrics` (optional, same
@@ -60,7 +60,7 @@ class PublisherAgent {
   /// Ships everything currently in the log (possibly several messages).
   Status PumpAll();
 
-  /// Starts / stops the background polling thread. Start is idempotent.
+  /// Starts / stops the background pump thread. Start is idempotent.
   void Start();
   void Stop();
 

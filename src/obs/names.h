@@ -171,7 +171,8 @@ inline constexpr char kLoadgenShed[] = "txrep_loadgen_shed_total";
 /// Write transactions that failed to commit on the database.
 inline constexpr char kLoadgenSubmitFailures[] =
     "txrep_loadgen_submit_failures_total";
-/// DB commit -> replica applied, as confirmed by the runner's poller (µs).
+/// Scheduled arrival -> replica applied, as confirmed by the runner's poller
+/// (µs); includes the submitter's slip.
 inline constexpr char kLoadgenLag[] = "txrep_loadgen_lag_us";
 /// Actual submit time minus scheduled arrival offset (µs): open-loop clock
 /// slip of the single-threaded submitter.

@@ -53,16 +53,28 @@ void TxLog::EnableTracing(trace::Tracer* tracer) {
 
 uint64_t TxLog::Append(std::vector<LogOp> ops) {
   if (ops.empty()) return 0;
-  check::MutexLock lock(&mu_);
-  LogTransaction entry;
-  entry.lsn = next_lsn_++;
-  entry.commit_micros = NowMicros();
-  if (tracer_ != nullptr) entry.trace = tracer_->Mint(entry.lsn);
-  entry.ops = std::move(ops);
-  entries_.push_back(std::move(entry));
-  if (c_appended_ != nullptr) c_appended_->Increment();
-  if (g_size_ != nullptr) g_size_->Set(static_cast<int64_t>(entries_.size()));
-  return entries_.back().lsn;
+  uint64_t lsn = 0;
+  bool wake = false;
+  {
+    check::MutexLock lock(&mu_);
+    lsn = next_lsn_++;
+    LogTransaction entry;
+    entry.lsn = lsn;
+    entry.commit_micros = NowMicros();
+    if (tracer_ != nullptr) entry.trace = tracer_->Mint(entry.lsn);
+    entry.ops = std::move(ops);
+    entries_.push_back(std::move(entry));
+    if (c_appended_ != nullptr) c_appended_->Increment();
+    if (g_size_ != nullptr) {
+      g_size_->Set(static_cast<int64_t>(entries_.size()));
+    }
+    wake = waiters_ > 0;
+  }
+  // Notify outside the lock so the woken pump does not block on mu_, and
+  // only when one is parked: a commit nobody waits for makes no syscall.
+  // No wakeup is lost: a waiter counts itself under mu_ before it parks.
+  if (wake) append_cv_.NotifyAll();
+  return lsn;
 }
 
 std::vector<LogTransaction> TxLog::ReadSince(uint64_t after_lsn,
@@ -81,7 +93,27 @@ std::vector<LogTransaction> TxLog::ReadSince(uint64_t after_lsn,
 
 uint64_t TxLog::LastLsn() const {
   check::MutexLock lock(&mu_);
-  return entries_.empty() ? next_lsn_ - 1 : entries_.back().lsn;
+  return next_lsn_ - 1;
+}
+
+bool TxLog::WaitForAppend(uint64_t after_lsn,
+                          const std::atomic<bool>& running) {
+  check::MutexLock lock(&mu_);
+  // next_lsn_ counts appends, so truncation cannot hide a new LSN.
+  ++waiters_;
+  while (next_lsn_ - 1 <= after_lsn &&
+         running.load(std::memory_order_relaxed)) {
+    append_cv_.Wait();
+  }
+  --waiters_;
+  return next_lsn_ - 1 > after_lsn;
+}
+
+void TxLog::WakeWaiters() {
+  // Taking mu_ orders this call after any waiter's predicate check: each
+  // waiter has either seen the caller's cleared flag or is parked.
+  { check::MutexLock lock(&mu_); }
+  append_cv_.NotifyAll();
 }
 
 size_t TxLog::size() const {

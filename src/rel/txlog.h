@@ -1,6 +1,7 @@
 #ifndef TXREP_REL_TXLOG_H_
 #define TXREP_REL_TXLOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,7 +54,8 @@ struct LogTransaction {
 };
 
 /// Append-only, commit-ordered transaction log. Thread-safe. The publisher
-/// agent tails it with ReadSince().
+/// agent tails it with ReadSince() and parks in WaitForAppend() while it has
+/// nothing new to read.
 class TxLog {
  public:
   TxLog() = default;
@@ -72,6 +74,16 @@ class TxLog {
 
   /// LSN of the most recently appended transaction (0 when empty).
   uint64_t LastLsn() const;
+
+  /// Blocks until a transaction with lsn > `after_lsn` has been appended
+  /// (truncated or not) or `running` reads false, whichever comes first.
+  /// Returns true in the first case. `running` is read under the log mutex,
+  /// so a caller that clears it and then calls WakeWaiters() cannot lose the
+  /// wakeup.
+  bool WaitForAppend(uint64_t after_lsn, const std::atomic<bool>& running);
+
+  /// Wakes every WaitForAppend() caller so it re-reads its `running` flag.
+  void WakeWaiters();
 
   /// Number of logged transactions.
   size_t size() const;
@@ -94,6 +106,9 @@ class TxLog {
   /// entries_[i].lsn strictly increasing.
   std::vector<LogTransaction> entries_ TXREP_GUARDED_BY(mu_);
   uint64_t next_lsn_ TXREP_GUARDED_BY(mu_) = 1;
+  /// Signalled by Append() (only while `waiters_` > 0) and WakeWaiters().
+  check::CondVar append_cv_{&mu_};
+  int waiters_ TXREP_GUARDED_BY(mu_) = 0;
 
   trace::Tracer* tracer_ TXREP_GUARDED_BY(mu_) = nullptr;
 

@@ -63,7 +63,7 @@ struct TxRepOptions {
   /// Broker simulation (delivery latency).
   mw::BrokerOptions broker;
 
-  /// Publisher agent (batch size, poll interval).
+  /// Publisher agent (topic, batch size).
   mw::PublisherOptions publisher;
 
   /// B-link tree fanout for the replica's range indexes.
@@ -124,7 +124,7 @@ class TxRepSystem {
   kv::KvCluster& replica() { return *cluster_; }
 
   /// Copies the current database snapshot into the replica and starts the
-  /// replication pipeline (publisher polling, subscriber applying). Call
+  /// replication pipeline (publisher pump, subscriber applying). Call
   /// once, after schema creation and initial population.
   Status Start();
 

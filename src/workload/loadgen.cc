@@ -99,7 +99,9 @@ LoadReport OpenLoopRunner::Run(const Hooks& hooks) {
     const uint64_t applied = hooks.applied_lsn();
     const int64_t now = NowMicros();
     while (!outstanding.empty() && outstanding.front().lsn <= applied) {
-      const int64_t lag = now - outstanding.front().submit_micros;
+      // From the scheduled arrival, not the submit: a submitter that slipped
+      // behind its schedule must not hide that wait from the lag.
+      const int64_t lag = now - outstanding.front().due_micros;
       lag_hist.Record(lag);
       if (h_lag != nullptr) h_lag->Record(lag);
       if (watchdog_ != nullptr) watchdog_->ObserveLag(lag);
@@ -142,7 +144,7 @@ LoadReport OpenLoopRunner::Run(const Hooks& hooks) {
     }
     ++report.submitted;
     if (*lsn > 0) {
-      outstanding.push_back(Outstanding{*lsn, submit_time});
+      outstanding.push_back(Outstanding{*lsn, due});
     }
     report.peak_backlog = std::max(
         report.peak_backlog, static_cast<int64_t>(outstanding.size()));

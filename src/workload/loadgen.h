@@ -82,7 +82,9 @@ struct LoadReport {
   int64_t drain_micros = 0;     // Time from last arrival to caught-up.
   int64_t wall_micros = 0;      // Full run wall time incl. drain.
 
-  /// DB commit -> replica applied, per transaction (µs).
+  /// Scheduled arrival -> replica applied, per transaction (µs). Includes
+  /// the submitter's slip (`sched_slip`), so a stalled generator cannot hide
+  /// queueing from the lag (no coordinated omission).
   HistogramSnapshot lag;
   /// Actual submit time minus scheduled arrival offset (µs): how far the
   /// single-threaded submitter slipped behind the open-loop clock.
@@ -129,7 +131,7 @@ class OpenLoopRunner {
  private:
   struct Outstanding {
     uint64_t lsn = 0;
-    int64_t submit_micros = 0;
+    int64_t due_micros = 0;  // Scheduled arrival instant.
   };
 
   LoadGenOptions options_;

@@ -51,7 +51,6 @@ TEST(MultiReplicaTest, TwoReplicasConvergeIdentically) {
   TXREP_ASSERT_OK(workload.Run(db, 250));
   PublisherAgent publisher(&db.log(), &broker,
                            {.topic = "log", .batch_size = 20,
-                            .poll_interval_micros = 200,
                             .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   broker.Flush();
@@ -91,7 +90,6 @@ TEST(MultiReplicaTest, LateSubscriberMissesEarlierMessages) {
   Broker broker;
   PublisherAgent publisher(&db.log(), &broker,
                            {.topic = "log", .batch_size = 100,
-                            .poll_interval_micros = 200,
                             .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   broker.Flush();

@@ -1,7 +1,10 @@
 // Publisher agent + subscriber agent end-to-end over the broker.
 
+#include <sys/resource.h>
+
 #include <atomic>
 
+#include "common/clock.h"
 #include "gtest/gtest.h"
 #include "mw/broker.h"
 #include "mw/publisher.h"
@@ -24,7 +27,6 @@ TEST(PublisherTest, PumpOnceBatchesUpToLimit) {
   Broker::Subscription* sub = broker.Subscribe("txrep.log");
   PublisherAgent publisher(&log, &broker, {.topic = "txrep.log",
                                            .batch_size = 10,
-                                           .poll_interval_micros = 100,
                                            .start_after_lsn = 0});
   EXPECT_EQ(*publisher.PumpOnce(), 10u);
   EXPECT_EQ(*publisher.PumpOnce(), 10u);
@@ -42,7 +44,6 @@ TEST(PublisherTest, StartAfterLsnSkipsSnapshot) {
   Broker broker;
   PublisherAgent publisher(&log, &broker, {.topic = "t",
                                            .batch_size = 100,
-                                           .poll_interval_micros = 100,
                                            .start_after_lsn = 7});
   EXPECT_EQ(*publisher.PumpOnce(), 3u);
 }
@@ -53,7 +54,6 @@ TEST(PublisherTest, PumpAllShipsEverything) {
   Broker broker;
   PublisherAgent publisher(&log, &broker,
                            {.topic = "t", .batch_size = 5,
-                            .poll_interval_micros = 100,
                             .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   EXPECT_EQ(publisher.shipped_lsn(), 37u);
@@ -74,7 +74,6 @@ TEST(SubscriberTest, ReceivesTransactionsInLsnOrder) {
                              });
   PublisherAgent publisher(&log, &broker,
                            {.topic = "t", .batch_size = 7,
-                            .poll_interval_micros = 100,
                             .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   ASSERT_TRUE(subscriber.WaitForLsn(50));
@@ -97,7 +96,6 @@ TEST(SubscriberTest, SinkErrorTurnsUnhealthy) {
   });
   PublisherAgent publisher(&log, &broker,
                            {.topic = "t", .batch_size = 10,
-                            .poll_interval_micros = 100,
                             .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   EXPECT_FALSE(subscriber.WaitForLsn(1));
@@ -126,14 +124,67 @@ TEST(PublisherTest, BackgroundPumpShipsNewCommits) {
   });
   PublisherAgent publisher(&log, &broker,
                            {.topic = "t", .batch_size = 10,
-                            .poll_interval_micros = 500,
                             .start_after_lsn = 0});
   publisher.Start();
   for (int i = 0; i < 20; ++i) log.Append({MakeOp(i)});
   ASSERT_TRUE(subscriber.WaitForLsn(20));
+  // The pump is idle now; a later commit must wake it.
+  SleepForMicros(5'000);
+  log.Append({MakeOp(20)});
+  ASSERT_TRUE(subscriber.WaitForLsn(21));
   publisher.Stop();
   broker.Shutdown();
-  EXPECT_EQ(received.load(), 20);
+  EXPECT_EQ(received.load(), 21);
+}
+
+TEST(PublisherTest, StopReturnsFromAnIdlePump) {
+  // A lost wakeup would leave Stop() joining a pump parked forever.
+  rel::TxLog log;
+  Broker broker;
+  PublisherAgent publisher(&log, &broker);
+  for (uint64_t i = 1; i <= 200; ++i) {
+    publisher.Start();
+    log.Append({MakeOp(static_cast<int64_t>(i))});
+    if (i % 2 == 0) {
+      // Let the pump ship and park before stopping it; odd cycles race
+      // Stop() against the pump instead.
+      for (int spins = 0; publisher.shipped_lsn() < i && spins < 20'000;
+           ++spins) {
+        SleepForMicros(50);
+      }
+      EXPECT_EQ(publisher.shipped_lsn(), i);
+    }
+    publisher.Stop();
+  }
+  TXREP_ASSERT_OK(publisher.PumpAll());
+  EXPECT_EQ(publisher.shipped_lsn(), 200u);
+  broker.Shutdown();
+}
+
+int64_t ProcessCpuMicros() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1'000'000 +
+         usage.ru_utime.tv_usec + usage.ru_stime.tv_usec;
+}
+
+TEST(PublisherTest, FailedPublishDoesNotSpin) {
+  // Once the broker is shut down every publish fails. The pump must then
+  // wait for the next commit, not retry in a loop.
+  rel::TxLog log;
+  Broker broker;
+  PublisherAgent publisher(&log, &broker);
+  publisher.Start();
+  broker.Shutdown();
+  for (int i = 0; i < 100; ++i) log.Append({MakeOp(i)});
+  SleepForMicros(20'000);  // Let the pump fail on the backlog.
+
+  const int64_t cpu_before = ProcessCpuMicros();
+  SleepForMicros(200'000);
+  const int64_t cpu_used = ProcessCpuMicros() - cpu_before;
+  EXPECT_LT(cpu_used, 50'000) << "publisher pump burned CPU while idle";
+  EXPECT_EQ(publisher.shipped_lsn(), 0u);
+  publisher.Stop();
 }
 
 }  // namespace

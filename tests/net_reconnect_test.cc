@@ -102,7 +102,6 @@ void RunKillAndReconnect(KillSide side) {
 
   mw::PublisherAgent publisher(&db.log(), &broker,
                                {.topic = "txrep.log", .batch_size = 4,
-                                .poll_interval_micros = 100,
                                 .start_after_lsn = 0});
 
   // Ship half, wait for it to apply, then pull the plug.
@@ -162,7 +161,6 @@ TEST(NetReconnectTest, FreshSubscriberAfterEvictionMustBootstrap) {
 
   mw::PublisherAgent publisher(&db.log(), &broker,
                                {.topic = "txrep.log", .batch_size = 4,
-                                .poll_interval_micros = 100,
                                 .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   broker.Flush();

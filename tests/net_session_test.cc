@@ -71,7 +71,6 @@ TEST(NetSessionTest, HandshakeCarriesCatalogAndStreamsInOrder) {
   });
   mw::PublisherAgent publisher(&log, &rig.broker,
                                {.topic = "txrep.log", .batch_size = 7,
-                                .poll_interval_micros = 100,
                                 .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   ASSERT_TRUE(agent.WaitForLsn(40));
@@ -130,7 +129,6 @@ TEST(NetSessionTest, CreditWindowBoundsInFlightBatches) {
 
   mw::PublisherAgent publisher(&log, &rig.broker,
                                {.topic = "txrep.log", .batch_size = 1,
-                                .poll_interval_micros = 100,
                                 .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
 
@@ -160,7 +158,6 @@ TEST(NetSessionTest, ServerStopEndsStreamCleanly) {
   TXREP_ASSERT_OK(subscription.WaitConnected());
   mw::PublisherAgent publisher(&log, &rig->broker,
                                {.topic = "txrep.log", .batch_size = 5,
-                                .poll_interval_micros = 100,
                                 .start_after_lsn = 0});
   TXREP_ASSERT_OK(publisher.PumpAll());
   for (int i = 0; subscription.delivered_lsn() < 10 && i < 5000; ++i) {

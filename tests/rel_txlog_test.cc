@@ -1,7 +1,9 @@
 #include "rel/txlog.h"
 
+#include <atomic>
 #include <thread>
 
+#include "common/clock.h"
 #include "gtest/gtest.h"
 
 namespace txrep::rel {
@@ -74,6 +76,66 @@ TEST(TxLogTest, ConcurrentAppendsGetUniqueLsns) {
   for (size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i].lsn, i + 1);
   }
+}
+
+TEST(TxLogTest, WaitForAppendReturnsAtOnceWhenLaterLsnExists) {
+  TxLog log;
+  for (int i = 1; i <= 3; ++i) log.Append({MakeOp(i)});
+  std::atomic<bool> running{true};
+  EXPECT_TRUE(log.WaitForAppend(0, running));
+  EXPECT_TRUE(log.WaitForAppend(2, running));
+  running = false;
+  EXPECT_FALSE(log.WaitForAppend(3, running));  // Stopped: no wait either.
+}
+
+TEST(TxLogTest, WaitForAppendWakesOnAppendFromAnotherThread) {
+  TxLog log;
+  log.Append({MakeOp(1)});
+  std::atomic<bool> running{true};
+  std::atomic<bool> returned{false};
+  bool found = false;
+  std::thread waiter([&] {
+    found = log.WaitForAppend(1, running);
+    returned = true;
+  });
+  SleepForMicros(20'000);
+  EXPECT_FALSE(returned.load());  // Nothing past LSN 1 yet: still parked.
+  log.Append({MakeOp(2)});
+  waiter.join();
+  EXPECT_TRUE(found);
+}
+
+TEST(TxLogTest, WaitForAppendWakesOnStop) {
+  TxLog log;
+  std::atomic<bool> running{true};
+  std::atomic<bool> returned{false};
+  bool found = true;
+  std::thread waiter([&] {
+    found = log.WaitForAppend(0, running);
+    returned = true;
+  });
+  SleepForMicros(20'000);
+  EXPECT_FALSE(returned.load());
+  running = false;
+  log.WakeWaiters();
+  waiter.join();
+  EXPECT_FALSE(found);
+}
+
+TEST(TxLogTest, WaitForAppendCountsTruncatedLsns) {
+  TxLog log;
+  for (int i = 1; i <= 5; ++i) log.Append({MakeOp(i)});
+  log.TruncateUpTo(5);  // The log holds no entry now.
+  std::atomic<bool> running{true};
+  EXPECT_TRUE(log.WaitForAppend(4, running));  // LSN 5 was appended.
+
+  bool found = false;
+  std::thread waiter([&] { found = log.WaitForAppend(5, running); });
+  SleepForMicros(5'000);
+  log.Append({MakeOp(6)});
+  waiter.join();
+  EXPECT_TRUE(found);
+  EXPECT_EQ(log.ReadSince(5).size(), 1u);
 }
 
 TEST(TxLogTest, DebugStringsRender) {

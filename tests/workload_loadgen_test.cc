@@ -3,6 +3,7 @@
 #include <atomic>
 #include <map>
 
+#include "common/clock.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "obs/names.h"
@@ -151,6 +152,31 @@ TEST(OpenLoopRunnerTest, BacklogCapShedsUnderStalledReplica) {
   EXPECT_GT(report.shed, 0);
   EXPECT_FALSE(report.drained);
   EXPECT_EQ(report.applied, 0);
+}
+
+TEST(OpenLoopRunnerTest, LagIncludesSubmitterSlip) {
+  // The first submit stalls for 20 ms while ~40 later arrivals come due.
+  // Lag runs from each scheduled arrival, so the stall shows up in every
+  // one of them; timed from the submit call it would vanish (coordinated
+  // omission) and the mean lag would fall below the mean slip.
+  LoadGenOptions options;
+  options.base_rate_per_sec = 2000.0;
+  options.duration_micros = 100'000;
+  options.poisson = false;
+  OpenLoopRunner runner(options);
+
+  std::atomic<uint64_t> lsn{0};
+  OpenLoopRunner::Hooks hooks;
+  hooks.submit = [&]() -> Result<uint64_t> {
+    if (lsn.load() == 0) SleepForMicros(20'000);
+    return ++lsn;
+  };
+  hooks.applied_lsn = [&]() -> uint64_t { return lsn.load(); };
+
+  const LoadReport report = runner.Run(hooks);
+  ASSERT_EQ(report.applied, report.arrivals);
+  EXPECT_GT(report.sched_slip.max, 10'000);
+  EXPECT_GE(report.lag.mean, report.sched_slip.mean);
 }
 
 TEST(OpenLoopRunnerTest, PublishesMetricsAndFeedsWatchdog) {
