@@ -76,7 +76,7 @@ class Transaction {
   uint64_t complete_time = 0;  // Logical stamp after apply.
   // analyze: lock-free(written during execute, read after handoff)
   Status execution_status;     // Outcome of the last body run.
-  // analyze: lock-free(built during execute; read-only once the txn is queued)
+  // analyze: lock-free(built during execute; key sets read-only once queued)
   std::unique_ptr<TxnBuffer> buffer;  // Rebuilt on every (re-)execution.
   /// Transactions parked on this one: restarted when it completes
   /// (Algorithm 1 line 11 / 25).

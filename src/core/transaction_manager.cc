@@ -3,6 +3,7 @@
 
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -139,7 +140,19 @@ void TransactionManager::ExecuteTask(const TxnPtr& txn) {
   txn->start_time = clock_.Tick();
   const int64_t exec_start = NowMicros();
   auto buffer = std::make_unique<TxnBuffer>(store_);
+  // A restart re-reads what its previous execution read in one round trip.
+  // The prefetch runs after the stamp, so every value the body sees was read
+  // after start_time, exactly as in a fresh execution; keys the body no
+  // longer asks for never become reads. Nobody else touches a restarting
+  // transaction's previous buffer (it is in no conflict list).
+  if (txn->buffer != nullptr) {
+    const auto& previous_reads = txn->buffer->read_set();
+    const std::vector<kv::Key> keys(previous_reads.begin(),
+                                    previous_reads.end());
+    buffer->Prefetch(keys);
+  }
   Status status = txn->body()(buffer.get());
+  buffer->DiscardUnreadPrefetch();
   h_stage_execute_->Record(NowMicros() - exec_start);
   {
     check::MutexLock lock(&mu_);
@@ -354,6 +367,11 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
     cv_.NotifyAll();
   }
   txn->Finish(Status::OK());
+  // From here on Algorithm 1 and 2 need only the key sets, but the completed
+  // list keeps this buffer until GC: free its values, after Finish so waiters
+  // do not pay for it. Concurrent conflict checks read only the key sets,
+  // which this leaves untouched.
+  txn->buffer->ReleaseValues();
   if (run_gc) {
     gc_pool_->Submit([this] { GcTask(); });
   }

@@ -188,7 +188,9 @@ class TransactionManager {
                         trace::TraceContext trace = {});
 
   /// Top-pool task: (re-)executes the body into a fresh buffer, then
-  /// enqueues the commit request.
+  /// enqueues the commit request. A re-execution first prefetches the
+  /// previous execution's read set in one MultiGet (after stamping
+  /// start_time).
   void ExecuteTask(const TxnPtr& txn);
 
   /// Controller thread: Algorithm 1 main loop.

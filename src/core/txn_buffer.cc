@@ -3,6 +3,15 @@
 #include <algorithm>
 
 namespace txrep::core {
+namespace {
+
+// clear() keeps a hash map's bucket array; swapping with a fresh one frees it.
+template <typename Container>
+void Free(Container& container) {
+  Container().swap(container);
+}
+
+}  // namespace
 
 TxnBuffer::TxnBuffer(kv::KvStore* base) : base_(base) {}
 
@@ -35,6 +44,18 @@ Result<kv::Value> TxnBuffer::Get(const kv::Key& key) {
     }
     return *c->second;
   }
+  // First read of a prefetched key: it becomes a read like any other.
+  auto p = prefetched_.find(key);
+  if (p != prefetched_.end()) {
+    read_set_.insert(key);
+    std::optional<kv::Value>& cached = read_cache_[key];
+    cached = std::move(p->second);
+    prefetched_.erase(p);
+    if (!cached.has_value()) {
+      return Status::NotFound("key \"" + key + "\" not present (prefetched)");
+    }
+    return *cached;
+  }
   // Base store; the access is what defines the read set.
   read_set_.insert(key);
   Result<kv::Value> result = base_->Get(key);
@@ -46,6 +67,26 @@ Result<kv::Value> TxnBuffer::Get(const kv::Key& key) {
     read_cache_[key] = std::nullopt;
   }
   return result;
+}
+
+void TxnBuffer::Prefetch(std::span<const kv::Key> keys) {
+  if (keys.empty()) return;
+  std::vector<Result<kv::Value>> results = base_->MultiGet(keys);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (results[i].ok()) {
+      prefetched_[keys[i]] = std::move(results[i]).value();
+    } else if (results[i].status().IsNotFound()) {
+      prefetched_[keys[i]] = std::nullopt;
+    }
+  }
+}
+
+void TxnBuffer::DiscardUnreadPrefetch() { Free(prefetched_); }
+
+void TxnBuffer::ReleaseValues() {
+  Free(writes_);
+  Free(read_cache_);
+  Free(prefetched_);
 }
 
 bool TxnBuffer::Contains(const kv::Key& key) {

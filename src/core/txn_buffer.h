@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -26,6 +27,10 @@ namespace txrep::core {
 ///    results) for future accesses — the paper's read-through buffer.
 ///  - PUT / DELETE only touch the buffer and record the key in the
 ///    *write set*; DELETE is a tombstone.
+///  - Prefetch() reads a batch of keys in one MultiGet into a side map
+///    (restart support, DESIGN.md §3). A prefetched key becomes a read (joins
+///    the read set and the cache) only when GET first asks for it, so the
+///    read set is exactly what an execution without the prefetch records.
 ///
 /// After execution, the read/write sets drive conflict detection
 /// (Algorithm 1) and ApplyTo() publishes the writes (bottom thread pool).
@@ -45,6 +50,23 @@ class TxnBuffer : public kv::KvStore {
   bool Contains(const kv::Key& key) override;
   size_t Size() override;
   kv::StoreDump Dump() override;
+
+  /// Reads `keys` from the base store in one MultiGet round trip. Values and
+  /// NotFound results are kept in a side map that GET consults after own
+  /// writes and the read cache; an entry that failed (e.g. Unavailable) is
+  /// dropped, so GET re-reads that key itself — a prefetch never fails the
+  /// transaction. Nothing joins the read set until GET asks for it.
+  void Prefetch(std::span<const kv::Key> keys);
+
+  /// Drops the prefetched entries GET never asked for (call once the body
+  /// returned; they are not reads and only hold memory).
+  void DiscardUnreadPrefetch();
+
+  /// Drops every buffered value — write values, the read cache and any
+  /// prefetched entries — keeping read_set() and write_set(). For a buffer
+  /// whose writes were applied: conflict detection only needs its key sets.
+  /// GET, ApplyTo and WriteBatch are meaningless afterwards.
+  void ReleaseValues();
 
   /// Keys read from the base store (i.e., not satisfied by own writes).
   const std::unordered_set<std::string>& read_set() const { return read_set_; }
@@ -79,6 +101,8 @@ class TxnBuffer : public kv::KvStore {
   std::map<kv::Key, WriteEntry> writes_;
   // Read-through cache: nullopt = cached NotFound.
   std::unordered_map<kv::Key, std::optional<kv::Value>> read_cache_;
+  // Prefetched, not yet read (same encoding as read_cache_).
+  std::unordered_map<kv::Key, std::optional<kv::Value>> prefetched_;
   std::unordered_set<std::string> read_set_;
   std::unordered_set<std::string> write_set_;
 };

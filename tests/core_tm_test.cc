@@ -1,8 +1,16 @@
 #include "core/transaction_manager.h"
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "check/mutex.h"
 #include "codec/kv_keys.h"
 #include "codec/row_codec.h"
+#include "common/clock.h"
+#include "core/serial_applier.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
 #include "test_util.h"
@@ -79,13 +87,31 @@ TEST_F(TmTest, WriteSetAppliesAsOneMultiWrite) {
 }
 
 /// Forwards to an in-memory node, but holds the first MultiWrite (the first
-/// committed transaction's apply) until Release().
+/// committed transaction's apply) until Release(). Records the key of every
+/// Get and counts MultiGet calls.
 class HoldFirstApplyStore : public kv::KvStore {
  public:
+  explicit HoldFirstApplyStore(kv::KvNodeOptions options = {})
+      : base_(options) {}
+
   Status Put(const kv::Key& key, const kv::Value& value) override {
     return base_.Put(key, value);
   }
-  Result<kv::Value> Get(const kv::Key& key) override { return base_.Get(key); }
+  Result<kv::Value> Get(const kv::Key& key) override {
+    {
+      check::MutexLock lock(&mu_);
+      gets_.push_back(key);
+    }
+    return base_.Get(key);
+  }
+  std::vector<Result<kv::Value>> MultiGet(
+      std::span<const kv::Key> keys) override {
+    {
+      check::MutexLock lock(&mu_);
+      ++multigets_;
+    }
+    return base_.MultiGet(keys);
+  }
   Status Delete(const kv::Key& key) override { return base_.Delete(key); }
   Status MultiWrite(std::span<const kv::KvWrite> batch,
                     size_t* applied) override {
@@ -114,12 +140,24 @@ class HoldFirstApplyStore : public kv::KvStore {
     cv_.NotifyAll();
   }
 
+  /// The keys Get was called with since the last call, in call order.
+  std::vector<kv::Key> TakeGets() {
+    check::MutexLock lock(&mu_);
+    return std::exchange(gets_, {});
+  }
+  int multigets() {
+    check::MutexLock lock(&mu_);
+    return multigets_;
+  }
+
  private:
   kv::InMemoryKvNode base_;
   check::Mutex mu_{"test.hold_first_apply"};
   check::CondVar cv_{&mu_};
   bool first_seen_ TXREP_GUARDED_BY(mu_) = false;
   bool released_ TXREP_GUARDED_BY(mu_) = false;
+  std::vector<kv::Key> gets_ TXREP_GUARDED_BY(mu_);
+  int multigets_ TXREP_GUARDED_BY(mu_) = 0;
 };
 
 TEST_F(TmTest, EveryCommittedPredecessorCostsOneConflictCheck) {
@@ -139,6 +177,51 @@ TEST_F(TmTest, EveryCommittedPredecessorCostsOneConflictCheck) {
   EXPECT_EQ(stats.conflicts, 0);
   TXREP_ASSERT_OK(first->Wait());
   EXPECT_EQ(ReadV(store, 1), 10);
+}
+
+TEST_F(TmTest, RestartPrefetchesPreviousReadSetInOneMultiGet) {
+  // The update reads row 1 while its inserting predecessor is COMMITTED but
+  // held in apply, so Algorithm 1 parks it. When the insert completes, the
+  // re-execution fetches everything the first execution read in one
+  // MultiGet and issues no Get for any of those keys.
+  kv::KvNodeOptions node_options;
+  node_options.service_time_micros = 200;
+  HoldFirstApplyStore store(node_options);
+  std::shared_ptr<Transaction> insert;
+  std::shared_ptr<Transaction> update;
+  std::vector<kv::Key> previous_reads;
+  int multigets_before = 0;
+  {
+    TransactionManager tm(&store, translator_.get(), {});
+    insert = tm.SubmitUpdate(InsertTxn(1, 10));
+    store.AwaitHeld();
+    (void)store.TakeGets();  // The insert's own reads.
+    update = tm.SubmitUpdate(UpdateTxn(1, 11));
+    while (tm.stats().conflicts < 1) SleepForMicros(100);  // Parked.
+    previous_reads = store.TakeGets();
+    multigets_before = store.multigets();
+    store.Release();
+    TXREP_ASSERT_OK(update->Wait());
+    TXREP_ASSERT_OK(insert->Wait());
+  }  // Joins the pools: the buffers are settled.
+
+  ASSERT_FALSE(previous_reads.empty());
+  EXPECT_EQ(update->restarts(), 1);
+  EXPECT_EQ(store.multigets() - multigets_before, 1);
+  for (const kv::Key& key : store.TakeGets()) {
+    EXPECT_EQ(std::count(previous_reads.begin(), previous_reads.end(), key), 0)
+        << "re-execution re-read " << key << " with a Get";
+  }
+  // Completed transactions keep their key sets, not their values.
+  EXPECT_EQ(update->buffer->WriteCount(), 0u);
+  EXPECT_FALSE(update->buffer->write_set().empty());
+  EXPECT_FALSE(update->buffer->read_set().empty());
+
+  kv::InMemoryKvNode serial_store;
+  SerialApplier serial(&serial_store, translator_.get());
+  TXREP_ASSERT_OK(serial.Apply(InsertTxn(1, 10)));
+  TXREP_ASSERT_OK(serial.Apply(UpdateTxn(1, 11)));
+  testing::ExpectDumpsEqual(store, serial_store);
 }
 
 TEST_F(TmTest, ManyIndependentTransactions) {

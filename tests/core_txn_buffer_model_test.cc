@@ -1,9 +1,12 @@
 // Model-based property test: a TxnBuffer over a base store must behave
 // exactly like "a map overlaying a frozen base" for any random op sequence,
-// and ApplyTo must make the base equal the overlay view.
+// and ApplyTo must make the base equal the overlay view. A twin buffer runs
+// the same ops with random Prefetch / DiscardUnreadPrefetch calls between
+// them: prefetching must change no result and no read set.
 
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/random.h"
 #include "core/txn_buffer.h"
@@ -30,6 +33,9 @@ TEST_P(BufferModelTest, MatchesReferenceModel) {
   }
 
   TxnBuffer buffer(&base);
+  TxnBuffer prefetching(&base);
+  // A separate stream, so the op sequence of each seed is unchanged.
+  Random prefetch_rng(GetParam() ^ 0x5eedULL);
   // Overlay model: nullopt = tombstone.
   std::map<std::string, std::optional<std::string>> overlay;
 
@@ -42,33 +48,49 @@ TEST_P(BufferModelTest, MatchesReferenceModel) {
   };
 
   for (int step = 0; step < 1000; ++step) {
+    if (prefetch_rng.Bernoulli(0.05)) {
+      std::vector<kv::Key> keys;
+      const uint64_t count = prefetch_rng.Uniform(12);
+      for (uint64_t i = 0; i < count; ++i) {
+        keys.push_back("k" + std::to_string(prefetch_rng.Uniform(50)));
+      }
+      prefetching.Prefetch(keys);
+    }
+    if (prefetch_rng.Bernoulli(0.02)) prefetching.DiscardUnreadPrefetch();
     const std::string key = "k" + std::to_string(rng.Uniform(50));
     switch (rng.Uniform(3)) {
       case 0: {  // Get.
-        Result<kv::Value> got = buffer.Get(key);
         std::optional<std::string> expected = model_get(key);
-        if (expected.has_value()) {
-          ASSERT_TRUE(got.ok()) << "step " << step << " key " << key;
-          ASSERT_EQ(*got, *expected);
-        } else {
-          ASSERT_TRUE(got.status().IsNotFound());
+        for (TxnBuffer* b : {&buffer, &prefetching}) {
+          Result<kv::Value> got = b->Get(key);
+          if (expected.has_value()) {
+            ASSERT_TRUE(got.ok()) << "step " << step << " key " << key;
+            ASSERT_EQ(*got, *expected);
+          } else {
+            ASSERT_TRUE(got.status().IsNotFound());
+          }
+          ASSERT_EQ(b->Contains(key), expected.has_value());
         }
-        ASSERT_EQ(buffer.Contains(key), expected.has_value());
         break;
       }
       case 1: {  // Put.
         const std::string value = "v" + std::to_string(step);
         TXREP_ASSERT_OK(buffer.Put(key, value));
+        TXREP_ASSERT_OK(prefetching.Put(key, value));
         overlay[key] = value;
         break;
       }
       case 2: {  // Delete.
         TXREP_ASSERT_OK(buffer.Delete(key));
+        TXREP_ASSERT_OK(prefetching.Delete(key));
         overlay[key] = std::nullopt;
         break;
       }
     }
+    ASSERT_EQ(prefetching.read_set(), buffer.read_set()) << "step " << step;
   }
+  ASSERT_EQ(prefetching.write_set(), buffer.write_set());
+  ASSERT_EQ(prefetching.WriteBatch(), buffer.WriteBatch());
 
   // Write set == overlay keys; read set only ever contains probed keys that
   // were not own-writes first.

@@ -1,5 +1,9 @@
 #include "core/txn_buffer.h"
 
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
 #include "test_util.h"
@@ -124,6 +128,84 @@ TEST_F(TxnBufferTest, ErrorsFromBasePropagate) {
   // But buffered writes never touch the base.
   TXREP_ASSERT_OK(buffer.Put("k", "v"));
   EXPECT_TRUE(buffer.ApplyTo(&failing).IsUnavailable());
+}
+
+TEST_F(TxnBufferTest, PrefetchIsOneRoundTripAndNotYetARead) {
+  TxnBuffer buffer(&base_);
+  const std::vector<kv::Key> keys = {"existing", "other"};
+  buffer.Prefetch(keys);
+  EXPECT_EQ(base_.stats().batches, 1);
+  EXPECT_EQ(base_.stats().gets, 2);
+  EXPECT_TRUE(buffer.read_set().empty());  // Fetched, not read.
+  EXPECT_EQ(*buffer.Get("existing"), "base-value");
+  EXPECT_TRUE(buffer.read_set().contains("existing"));
+  EXPECT_FALSE(buffer.read_set().contains("other"));
+  EXPECT_EQ(base_.stats().gets, 2);  // Served from the prefetch.
+}
+
+TEST_F(TxnBufferTest, PrefetchedNotFoundIsServedAsNotFound) {
+  TxnBuffer buffer(&base_);
+  const std::vector<kv::Key> keys = {"missing"};
+  buffer.Prefetch(keys);
+  EXPECT_TRUE(buffer.Get("missing").status().IsNotFound());
+  EXPECT_TRUE(buffer.Get("missing").status().IsNotFound());  // Now cached.
+  EXPECT_TRUE(buffer.read_set().contains("missing"));
+  EXPECT_EQ(base_.stats().gets, 1);
+}
+
+TEST_F(TxnBufferTest, UnavailablePrefetchEntryFallsBackToGet) {
+  TxnBuffer buffer(&base_);
+  const std::vector<kv::Key> keys = {"existing"};
+  base_.set_failure_rate(1.0);
+  buffer.Prefetch(keys);  // Never fails the transaction.
+  base_.set_failure_rate(0.0);
+  EXPECT_TRUE(buffer.read_set().empty());
+  EXPECT_EQ(*buffer.Get("existing"), "base-value");  // Re-read by Get.
+  EXPECT_EQ(base_.stats().gets, 1);
+  EXPECT_EQ(base_.stats().injected_failures, 1);
+}
+
+TEST_F(TxnBufferTest, OwnWritesBeatPrefetchedValues) {
+  TxnBuffer buffer(&base_);
+  const std::vector<kv::Key> keys = {"existing", "other"};
+  buffer.Prefetch(keys);
+  TXREP_ASSERT_OK(buffer.Put("existing", "mine"));
+  TXREP_ASSERT_OK(buffer.Delete("other"));
+  EXPECT_EQ(*buffer.Get("existing"), "mine");
+  EXPECT_TRUE(buffer.Get("other").status().IsNotFound());
+  EXPECT_TRUE(buffer.read_set().empty());  // Own-write reads are not reads.
+}
+
+TEST_F(TxnBufferTest, ReadCacheBeatsLaterPrefetch) {
+  TxnBuffer buffer(&base_);
+  EXPECT_EQ(*buffer.Get("existing"), "base-value");
+  TXREP_ASSERT_OK(base_.Put("existing", "newer"));
+  const std::vector<kv::Key> keys = {"existing"};
+  buffer.Prefetch(keys);
+  EXPECT_EQ(*buffer.Get("existing"), "base-value");  // Repeatable read.
+}
+
+TEST_F(TxnBufferTest, DiscardedPrefetchIsReadFromBase) {
+  TxnBuffer buffer(&base_);
+  const std::vector<kv::Key> keys = {"existing"};
+  buffer.Prefetch(keys);
+  buffer.DiscardUnreadPrefetch();
+  TXREP_ASSERT_OK(base_.Put("existing", "newer"));
+  EXPECT_EQ(*buffer.Get("existing"), "newer");
+  EXPECT_EQ(base_.stats().gets, 2);
+}
+
+TEST_F(TxnBufferTest, ReleaseValuesKeepsKeySets) {
+  TxnBuffer buffer(&base_);
+  (void)buffer.Get("existing");
+  TXREP_ASSERT_OK(buffer.Put("a", "1"));
+  TXREP_ASSERT_OK(buffer.Delete("other"));
+  TXREP_ASSERT_OK(buffer.ApplyTo(&base_));
+  buffer.ReleaseValues();
+  EXPECT_EQ(buffer.WriteCount(), 0u);
+  EXPECT_TRUE(buffer.WriteBatch().empty());
+  EXPECT_EQ(buffer.read_set(), (std::unordered_set<std::string>{"existing"}));
+  EXPECT_EQ(buffer.write_set(), (std::unordered_set<std::string>{"a", "other"}));
 }
 
 }  // namespace
