@@ -32,7 +32,6 @@ struct LagReport {
 LagReport RunOnce(bool concurrent, int num_updates) {
   txrep::TxRepOptions options;
   options.concurrent_replication = concurrent;
-  options.measure_lag = true;
   options.cluster.num_nodes = 5;
   options.cluster.node.service_time_micros = 60;  // Simulated network hop.
   options.cluster.node.service_slots = 4;
@@ -52,10 +51,6 @@ LagReport RunOnce(bool concurrent, int num_updates) {
   Check(sys.SyncToLatest(), "SyncToLatest");
   const double total_s = sw.ElapsedSeconds();
 
-  // Lag probes are recorded asynchronously; wait for them to settle.
-  while (sys.lag_histogram().count() < num_updates) {
-    txrep::SleepForMicros(2000);
-  }
   const txrep::Histogram& lag = sys.lag_histogram();
   return LagReport{lag.Mean() / 1000.0, lag.Percentile(0.95) / 1000.0,
                    static_cast<double>(lag.max()) / 1000.0, total_s};

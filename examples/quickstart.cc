@@ -103,10 +103,10 @@ int main() {
       static_cast<long long>(stats.conflicts),
       static_cast<long long>(stats.restarts));
 
-  // 7. Observability: every pipeline stage (publish, broker_deliver,
-  //    subscriber_recv, execute, commit_eval, apply, e2e) recorded latency
-  //    histograms; queue depths and per-node KV op counters ride along.
-  //    Same snapshot, three formats.
+  // 7. Observability: every pipeline hop (publish, broker, recv,
+  //    commit_eval, apply) and their sum e2e recorded a latency histogram;
+  //    queue depths and per-node KV op counters ride along. Same snapshot,
+  //    three formats.
   const txrep::obs::MetricsSnapshot snapshot = sys.metrics().Snapshot();
   std::printf("\n--- metrics (text) ---\n%s",
               txrep::obs::ToText(snapshot).c_str());

@@ -21,10 +21,8 @@
 #     one op per round trip forfeits the batching amortization and silently
 #     regresses replay throughput.
 #
-#  5. Span/stage name literals ("span....") live only in src/trace/names.h,
-#     the tracing analogue of rule 2: exporters and tests derive display
-#     names from the constants so traces, dashboards and docs agree on one
-#     spelling (DESIGN.md §11).
+#  (5. retired: span names were folded into the obs::Stage hop labels of
+#     src/obs/names.h, which rule 2's single-spelling header now covers.)
 #
 #  6. Socket / fd syscalls (socket, connect, accept, send, recv, poll, ...)
 #     are confined to src/net/. Everything else talks through net::Socket /
@@ -87,15 +85,6 @@ per_op_apply=$(grep -nE -- '->(Put|Delete)\(' "${apply_path_files[@]}" || true)
 if [[ -n "${per_op_apply}" ]]; then
   echo "lint: per-op Put/Delete on the apply path (batch via MultiWrite / TxnBuffer::ApplyTo):"
   echo "${per_op_apply}"
-  fail=1
-fi
-
-span_literals=$(grep -rn '"span\.' \
-  src --include='*.h' --include='*.cc' \
-  | grep -v '^src/trace/names\.h' || true)
-if [[ -n "${span_literals}" ]]; then
-  echo "lint: span name literals outside src/trace/names.h (use the constants):"
-  echo "${span_literals}"
   fail=1
 fi
 

@@ -10,14 +10,9 @@ SerialApplier::SerialApplier(kv::KvStore* store,
                              const qt::QueryTranslator* translator,
                              obs::MetricsRegistry* metrics,
                              trace::Tracer* tracer, trace::SloWatchdog* slo)
-    : store_(store), translator_(translator), tracer_(tracer), slo_(slo) {
-  if (metrics != nullptr) {
-    h_stage_apply_ = metrics->GetHistogram(obs::kStageLatency,
-                                           {{"stage", obs::kStageApply}});
-    h_stage_e2e_ =
-        metrics->GetHistogram(obs::kStageLatency, {{"stage", obs::kStageE2e}});
-  }
-}
+    : store_(store),
+      translator_(translator),
+      hops_(metrics, tracer, slo) {}
 
 Status SerialApplier::Apply(const rel::LogTransaction& txn) {
   const int64_t start = NowMicros();
@@ -32,21 +27,13 @@ Status SerialApplier::Apply(const rel::LogTransaction& txn) {
   if (txn.lsn != 0) {
     last_applied_lsn_.store(txn.lsn, std::memory_order_release);
   }
+  // Serial replay has no commit evaluation: the hand-off instant is the
+  // apply hop origin, all of it service.
   const int64_t now = NowMicros();
-  if (h_stage_apply_ != nullptr) h_stage_apply_->Record(now - start);
-  if (tracer_ != nullptr && txn.trace.sampled) {
-    // Serial replay has no commit evaluation: the hand-off instant is the
-    // apply span origin, all of it service.
-    tracer_->RecordSpan(txn.trace, txn.lsn, trace::SpanStage::kApply, start,
-                        now, 0);
-    if (txn.commit_micros != 0) {
-      tracer_->RecordSpan(txn.trace, txn.lsn, trace::SpanStage::kE2e,
-                          txn.commit_micros, now, 0);
-    }
-  }
+  hops_.RecordHop(obs::Stage::kApply, txn.trace, txn.lsn, start, now);
   if (txn.commit_micros != 0) {
-    if (h_stage_e2e_ != nullptr) h_stage_e2e_->Record(now - txn.commit_micros);
-    if (slo_ != nullptr) slo_->ObserveLag(now - txn.commit_micros);
+    hops_.RecordHop(obs::Stage::kE2e, txn.trace, txn.lsn, txn.commit_micros,
+                    now);
   }
   return Status::OK();
 }

@@ -9,8 +9,7 @@
 #include "obs/metrics.h"
 #include "qt/query_translator.h"
 #include "rel/txlog.h"
-#include "trace/slo.h"
-#include "trace/tracer.h"
+#include "trace/hop_recorder.h"
 
 namespace txrep::core {
 
@@ -21,14 +20,13 @@ namespace txrep::core {
 /// execution-defined order; exploits no concurrency.
 class SerialApplier {
  public:
-  /// `store` and `translator` must outlive the applier. `metrics` (optional,
-  /// same lifetime rule) receives the apply / e2e stage latency histograms.
+  /// `store` and `translator` must outlive the applier. `metrics`, `tracer`
+  /// and `slo` (optional, same lifetime rule) receive the apply and e2e hops
+  /// of every applied transaction (see trace::HopRecorder).
   /// Each transaction executes into a private TxnBuffer (reads go through to
   /// the store) and its coalesced write set ships as one MultiWrite —
   /// equivalent to direct application because a buffered transaction reads
   /// its own writes and each key appears once in the write set.
-  /// `tracer` / `slo` (optional, same lifetime rule) receive the apply and
-  /// e2e spans / the replica lag of every applied transaction.
   SerialApplier(kv::KvStore* store, const qt::QueryTranslator* translator,
                 obs::MetricsRegistry* metrics = nullptr,
                 trace::Tracer* tracer = nullptr,
@@ -56,13 +54,9 @@ class SerialApplier {
  private:
   kv::KvStore* store_;                     // Not owned.
   const qt::QueryTranslator* translator_;  // Not owned.
-  trace::Tracer* tracer_;                  // Not owned; may be null.
-  trace::SloWatchdog* slo_;                // Not owned; may be null.
+  const trace::HopRecorder hops_;
   int64_t applied_ = 0;
   std::atomic<uint64_t> last_applied_lsn_{0};
-
-  Histogram* h_stage_apply_ = nullptr;
-  Histogram* h_stage_e2e_ = nullptr;
 };
 
 }  // namespace txrep::core

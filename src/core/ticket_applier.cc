@@ -49,7 +49,7 @@ TicketApplier::TicketApplier(kv::KvStore* store,
                              const qt::QueryTranslator* translator,
                              TicketApplierOptions options,
                              trace::Tracer* tracer)
-    : store_(store), translator_(translator), tracer_(tracer) {
+    : store_(store), translator_(translator), hops_(nullptr, tracer) {
   pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(std::max(1, options.threads)), "ticket-applier");
 }
@@ -105,15 +105,15 @@ void TicketApplier::ApplyTask(uint64_t ticket,
     }
   }
   locks_.Release(ticket, *tables);
-  if (status.ok() && tracer_ != nullptr && txn->trace.sampled) {
+  if (status.ok()) {
     const int64_t now = NowMicros();
     // Ticket-2PL has no commit evaluation: waiting for in-order lock grants
     // is the apply queue share.
-    tracer_->RecordSpan(txn->trace, txn->lsn, trace::SpanStage::kApply,
-                        apply_start, now, locks_granted - apply_start);
+    hops_.RecordHop(obs::Stage::kApply, txn->trace, txn->lsn, apply_start,
+                    now, locks_granted - apply_start);
     if (txn->commit_micros != 0) {
-      tracer_->RecordSpan(txn->trace, txn->lsn, trace::SpanStage::kE2e,
-                          txn->commit_micros, now, 0);
+      hops_.RecordHop(obs::Stage::kE2e, txn->trace, txn->lsn,
+                      txn->commit_micros, now);
     }
   }
   check::MutexLock lock(&mu_);

@@ -15,7 +15,7 @@
 #include "kv/kv_store.h"
 #include "qt/query_translator.h"
 #include "rel/txlog.h"
-#include "trace/tracer.h"
+#include "trace/hop_recorder.h"
 
 namespace txrep::core {
 
@@ -53,10 +53,11 @@ struct TicketApplierStats {
 class TicketApplier {
  public:
   /// `store` and `translator` must outlive the applier. `tracer` (optional,
-  /// same lifetime rule) receives apply / e2e spans of sampled transactions
-  /// (lock waiting is the apply queue share). Each transaction executes into
-  /// a private TxnBuffer under its table locks and its coalesced write set
-  /// ships as one MultiWrite before the locks are released.
+  /// same lifetime rule) receives the apply / e2e hops of sampled
+  /// transactions (lock waiting is the apply queue share). Each transaction
+  /// executes into a private TxnBuffer under its table locks and its
+  /// coalesced write set ships as one MultiWrite before the locks are
+  /// released.
   TicketApplier(kv::KvStore* store, const qt::QueryTranslator* translator,
                 TicketApplierOptions options = {},
                 trace::Tracer* tracer = nullptr);
@@ -109,8 +110,7 @@ class TicketApplier {
   kv::KvStore* store_;                     // Not owned.
   // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
   const qt::QueryTranslator* translator_;  // Not owned.
-  // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
-  trace::Tracer* tracer_;                  // Not owned; may be null.
+  const trace::HopRecorder hops_;
   // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<ThreadPool> pool_;
   // analyze: lock-free(LockManager owns its own (keyed) mutexes)

@@ -88,10 +88,10 @@ class Transaction {
   /// Wall-clock stamps for pipeline stage latency (0 when unknown):
   /// db_commit_micros carries the original database's commit instant for
   /// shipped update transactions; submit_micros is stamped when the
-  /// transaction entered the TM (the commit_eval span origin);
+  /// transaction entered the TM (the commit_eval hop origin);
   /// enqueue_micros when the execution result enters the CommitReqPQ;
   /// commit_wall_micros when Algorithm 1 reaches the commit decision (the
-  /// apply span origin).
+  /// apply hop origin).
   // analyze: lock-free(timestamp stamped by exactly one stage)
   int64_t db_commit_micros = 0;
   // analyze: lock-free(timestamp stamped by exactly one stage)

@@ -8,8 +8,6 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "obs/names.h"
-#include "trace/slo.h"
-#include "trace/tracer.h"
 
 namespace txrep::core {
 
@@ -22,12 +20,12 @@ TransactionManager::TransactionManager(kv::KvStore* store,
     : store_(store),
       translator_(translator),
       options_(options),
-      tracer_(tracer),
-      slo_(slo) {
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
+      owned_metrics_(metrics == nullptr
+                         ? std::make_unique<obs::MetricsRegistry>()
+                         : nullptr),
+      hops_(metrics != nullptr ? metrics : owned_metrics_.get(), tracer,
+            slo) {
+  if (metrics == nullptr) metrics = owned_metrics_.get();
   WireMetrics(metrics);
   top_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(options_.top_threads), "tm-top");
@@ -48,14 +46,7 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
   c_gc_runs_ = metrics->GetCounter(obs::kTmGcRuns);
   c_gc_removed_ = metrics->GetCounter(obs::kTmGcRemoved);
   c_conflict_checks_ = metrics->GetCounter(obs::kTmConflictChecks);
-  h_stage_execute_ = metrics->GetHistogram(obs::kStageLatency,
-                                           {{"stage", obs::kStageExecute}});
-  h_stage_commit_eval_ = metrics->GetHistogram(
-      obs::kStageLatency, {{"stage", obs::kStageCommitEval}});
-  h_stage_apply_ =
-      metrics->GetHistogram(obs::kStageLatency, {{"stage", obs::kStageApply}});
-  h_stage_e2e_ =
-      metrics->GetHistogram(obs::kStageLatency, {{"stage", obs::kStageE2e}});
+  h_execute_ = metrics->GetHistogram(obs::kTmExecuteLatency);
   h_txn_restarts_ = metrics->GetHistogram(obs::kTmTxnRestarts);
   g_pq_depth_ =
       metrics->GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueCommitReqPq}});
@@ -153,7 +144,7 @@ void TransactionManager::ExecuteTask(const TxnPtr& txn) {
   }
   Status status = txn->body()(buffer.get());
   buffer->DiscardUnreadPrefetch();
-  h_stage_execute_->Record(NowMicros() - exec_start);
+  h_execute_->Record(NowMicros() - exec_start);
   {
     check::MutexLock lock(&mu_);
     txn->buffer = std::move(buffer);
@@ -274,19 +265,13 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   committed_[txn->seq()] = txn;
   expected_seq_ = txn->seq() + 1;
   c_committed_->Increment();
-  const int64_t commit_wall = NowMicros();
-  txn->commit_wall_micros = commit_wall;
-  if (txn->enqueue_micros != 0) {
-    h_stage_commit_eval_->Record(commit_wall - txn->enqueue_micros);
-  }
-  if (tracer_ != nullptr && txn->trace.sampled) {
+  txn->commit_wall_micros = NowMicros();
+  if (!txn->read_only()) {
     // Sink hand-off -> commit decision; the wait in the CommitReqPQ for the
     // controller is the queue share, (re-)execution the service share.
-    tracer_->RecordSpan(txn->trace, txn->lsn, trace::SpanStage::kCommitEval,
-                        txn->submit_micros, commit_wall,
-                        txn->enqueue_micros != 0
-                            ? commit_wall - txn->enqueue_micros
-                            : 0);
+    hops_.RecordHop(obs::Stage::kCommitEval, txn->trace, txn->lsn,
+                    txn->submit_micros, txn->commit_wall_micros,
+                    txn->commit_wall_micros - txn->enqueue_micros);
   }
   bottom_pool_->Submit([this, txn] { ApplyTask(txn); });
   g_bottom_backlog_->Set(static_cast<int64_t>(bottom_pool_->QueueDepth()));
@@ -311,20 +296,19 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
       SleepForMicros(options_.apply_retry_backoff_micros);
     }
   }
-  const int64_t apply_done = NowMicros();
-  h_stage_apply_->Record(apply_done - apply_start);
-  if (status.ok() && tracer_ != nullptr && txn->trace.sampled) {
+  if (status.ok() && !txn->read_only()) {
     // Commit decision -> replica-visible; waiting for a bottom-pool thread
     // is the queue share. commit_wall_micros was stamped before this task
-    // was submitted, so reading it lock-free here is ordered.
-    const int64_t commit_wall = txn->commit_wall_micros != 0
-                                    ? txn->commit_wall_micros
-                                    : apply_start;
-    tracer_->RecordSpan(txn->trace, txn->lsn, trace::SpanStage::kApply,
-                        commit_wall, apply_done, apply_start - commit_wall);
+    // was submitted, so reading it lock-free here is ordered. Both hops are
+    // recorded before the transaction leaves active_, so a WaitIdle() caller
+    // sees them.
+    const int64_t apply_done = NowMicros();
+    hops_.RecordHop(obs::Stage::kApply, txn->trace, txn->lsn,
+                    txn->commit_wall_micros, apply_done,
+                    apply_start - txn->commit_wall_micros);
     if (txn->db_commit_micros != 0) {
-      tracer_->RecordSpan(txn->trace, txn->lsn, trace::SpanStage::kE2e,
-                          txn->db_commit_micros, apply_done, 0);
+      hops_.RecordHop(obs::Stage::kE2e, txn->trace, txn->lsn,
+                      txn->db_commit_micros, apply_done);
     }
   }
 
@@ -348,11 +332,6 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
     if (txn->lsn > last_applied_lsn_) last_applied_lsn_ = txn->lsn;
     c_completed_->Increment();
     h_txn_restarts_->Record(txn->restart_count);
-    if (txn->db_commit_micros != 0) {
-      const int64_t lag = NowMicros() - txn->db_commit_micros;
-      h_stage_e2e_->Record(lag);
-      if (slo_ != nullptr) slo_->ObserveLag(lag);
-    }
     to_restart = std::move(txn->restart_list);
     txn->restart_list.clear();
     for (const TxnPtr& parked : to_restart) {

@@ -18,11 +18,7 @@
 #include "obs/metrics.h"
 #include "qt/query_translator.h"
 #include "rel/txlog.h"
-
-namespace txrep::trace {
-class Tracer;
-class SloWatchdog;
-}  // namespace txrep::trace
+#include "trace/hop_recorder.h"
 
 namespace txrep::core {
 
@@ -111,12 +107,11 @@ class TransactionManager {
  public:
   /// `store` is the replica; `translator` turns logged ops into KV programs.
   /// Both must outlive the TM. `metrics` (optional, same lifetime rule)
-  /// receives the txrep_tm_* counters, stage latency histograms and queue
-  /// gauges; when absent the TM keeps a private registry so stats() still
-  /// works. `tracer` (optional, same lifetime rule) receives the
-  /// commit_eval / apply / e2e spans of sampled transactions; `slo`
-  /// (optional, same lifetime rule) is fed every completed transaction's
-  /// replica lag.
+  /// receives the txrep_tm_* instruments and the commit_eval / apply / e2e
+  /// hops of every update transaction; when absent the TM keeps a private
+  /// registry so stats() still works. `tracer` (optional, same lifetime
+  /// rule) receives those hops of sampled transactions, and `slo` (optional,
+  /// same lifetime rule) every e2e hop, i.e. the replica lag.
   TransactionManager(kv::KvStore* store, const qt::QueryTranslator* translator,
                      TmOptions options = {},
                      obs::MetricsRegistry* metrics = nullptr,
@@ -232,10 +227,6 @@ class TransactionManager {
   // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
   const qt::QueryTranslator* translator_;   // Not owned.
   const TmOptions options_;
-  // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
-  trace::Tracer* tracer_;      // Not owned; may be null.
-  // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
-  trace::SloWatchdog* slo_;    // Not owned; may be null.
   // analyze: lock-free(LogicalClock is internally synchronized (atomic))
   LogicalClock clock_;
 
@@ -243,6 +234,7 @@ class TransactionManager {
   /// the pools/threads so instruments outlive every user).
   // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  const trace::HopRecorder hops_;
 
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_submitted_ = nullptr;
@@ -265,13 +257,7 @@ class TransactionManager {
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_conflict_checks_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  Histogram* h_stage_execute_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  Histogram* h_stage_commit_eval_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  Histogram* h_stage_apply_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  Histogram* h_stage_e2e_ = nullptr;
+  Histogram* h_execute_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_txn_restarts_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)

@@ -11,8 +11,6 @@ Broker::Broker(BrokerOptions options, obs::MetricsRegistry* metrics)
   if (metrics != nullptr) {
     c_published_ = metrics->GetCounter(obs::kMwMessagesPublished);
     c_delivered_ = metrics->GetCounter(obs::kMwMessagesDelivered);
-    h_deliver_latency_ = metrics->GetHistogram(
-        obs::kStageLatency, {{"stage", obs::kStageBroker}});
     g_queue_depth_ =
         metrics->GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueBroker}});
   }
@@ -79,10 +77,6 @@ void Broker::DeliveryLoop() {
     message->service_begin_micros = NowMicros();
     SleepForMicros(options_.delivery_delay_micros);
     message->deliver_micros = NowMicros();
-    if (h_deliver_latency_ != nullptr) {
-      h_deliver_latency_->Record(message->deliver_micros -
-                                 message->publish_micros);
-    }
     std::vector<Subscription*> targets;
     std::vector<Fanout*> fanouts;
     {

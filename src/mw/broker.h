@@ -24,7 +24,7 @@ struct Message {
   int64_t publish_micros = 0;  // Stamped by the broker at Publish().
   /// Stamped when the delivery thread picked the message up (before the
   /// simulated delivery delay): splits the broker hop into queue wait
-  /// (publish -> pickup) and service (pickup -> deliver) for span recording.
+  /// (publish -> pickup) and service (pickup -> deliver).
   int64_t service_begin_micros = 0;
   int64_t deliver_micros = 0;  // Stamped by the broker at delivery.
 };
@@ -46,8 +46,9 @@ struct BrokerOptions {
 class Broker {
  public:
   /// `metrics` (optional, must outlive the broker) receives published /
-  /// delivered counters, the broker_deliver stage latency histogram, and the
-  /// pending-queue depth gauge.
+  /// delivered counters and the pending-queue depth gauge. The broker hop
+  /// itself is recorded per transaction by the subscriber, from the message
+  /// stamps, because the broker never decodes payloads.
   explicit Broker(BrokerOptions options = {},
                   obs::MetricsRegistry* metrics = nullptr);
   ~Broker();
@@ -132,8 +133,6 @@ class Broker {
   obs::Counter* c_published_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_delivered_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  Histogram* h_deliver_latency_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Gauge* g_queue_depth_ = nullptr;
 };

@@ -13,12 +13,10 @@ PublisherAgent::PublisherAgent(rel::TxLog* log, Broker* broker,
                                trace::Tracer* tracer)
     : log_(log),
       broker_(broker),
-      tracer_(tracer),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      hops_(metrics, tracer) {
   shipped_lsn_.store(options_.start_after_lsn, std::memory_order_relaxed);
   if (metrics != nullptr) {
-    h_publish_latency_ = metrics->GetHistogram(
-        obs::kStageLatency, {{"stage", obs::kStagePublish}});
     h_batch_size_ = metrics->GetHistogram(obs::kMwBatchSize);
   }
 }
@@ -36,25 +34,17 @@ Result<size_t> PublisherAgent::PumpOnce() {
   std::string payload = codec::EncodeLogBatch(batch);
   // The publish hop ends here, NOT after Publish() returns: the broker hop
   // starts at the stamp Publish() takes internally, so ending the publish
-  // span any later would overlap the two whenever this thread is descheduled
-  // inside the call (per-txn hop spans must tile the e2e window).
+  // hop any later would overlap the two whenever this thread is descheduled
+  // inside the call (the hops must tile the e2e window).
   const int64_t now = NowMicros();
   TXREP_RETURN_IF_ERROR(broker_->Publish(options_.topic, std::move(payload)));
   shipped_lsn_.store(last, std::memory_order_relaxed);
   messages_published_.fetch_add(1, std::memory_order_relaxed);
-  if (h_publish_latency_ != nullptr || tracer_ != nullptr) {
-    // Per-txn time from db commit to reaching the broker; the share before
-    // the pump picked the batch up is log-tail queue wait.
-    for (const rel::LogTransaction& txn : batch) {
-      if (h_publish_latency_ != nullptr) {
-        h_publish_latency_->Record(now - txn.commit_micros);
-      }
-      if (tracer_ != nullptr) {
-        tracer_->RecordSpan(txn.trace, txn.lsn, trace::SpanStage::kPublish,
-                            txn.commit_micros, now,
-                            pickup_micros - txn.commit_micros);
-      }
-    }
+  // Per-txn time from db commit to reaching the broker; the share before
+  // the pump picked the batch up is log-tail queue wait.
+  for (const rel::LogTransaction& txn : batch) {
+    hops_.RecordHop(obs::Stage::kPublish, txn.trace, txn.lsn,
+                    txn.commit_micros, now, pickup_micros - txn.commit_micros);
   }
   if (h_batch_size_ != nullptr) {
     h_batch_size_->Record(static_cast<int64_t>(batch.size()));

@@ -12,7 +12,7 @@
 #include "common/status.h"
 #include "mw/broker.h"
 #include "rel/txlog.h"
-#include "trace/tracer.h"
+#include "trace/hop_recorder.h"
 
 namespace txrep::mw {
 
@@ -38,10 +38,9 @@ struct PublisherOptions {
 /// idle log costs nothing and a new commit waits for no timer.
 class PublisherAgent {
  public:
-  /// `log` and `broker` must outlive the agent. `metrics` (optional, same
-  /// lifetime rule) receives the publish stage latency histogram and batch
-  /// size distribution. `tracer` (optional, same lifetime rule) receives the
-  /// publish span of every sampled transaction.
+  /// `log` and `broker` must outlive the agent. `metrics` and `tracer`
+  /// (optional, same lifetime rule) receive the publish hop of every shipped
+  /// transaction; `metrics` also the batch size distribution.
   PublisherAgent(rel::TxLog* log, Broker* broker, PublisherOptions options = {},
                  obs::MetricsRegistry* metrics = nullptr,
                  trace::Tracer* tracer = nullptr);
@@ -78,9 +77,8 @@ class PublisherAgent {
   rel::TxLog* log_;  // Not owned.
   // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
   Broker* broker_;   // Not owned.
-  // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
-  trace::Tracer* tracer_;  // Not owned; may be null.
   const PublisherOptions options_;
+  const trace::HopRecorder hops_;
 
   /// Serializes PumpOnce (read-log + publish + advance).
   check::Mutex pump_mu_{"publisher.pump"};
@@ -90,8 +88,6 @@ class PublisherAgent {
   // analyze: lock-free(thread handle; started once, joined in Stop/dtor only)
   std::thread pump_thread_;
 
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  Histogram* h_publish_latency_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_batch_size_ = nullptr;
 };

@@ -20,15 +20,13 @@ SubscriberAgent::SubscriberAgent(MessageSource* source, TxnSink sink,
                                  trace::Tracer* tracer)
     : subscription_(source),
       sink_(std::move(sink)),
-      tracer_(tracer) {
+      hops_(metrics, tracer) {
   // Everything at or below the resume point counts as already applied.
   applied_lsn_ = options.resume_after_lsn;
   resume_after_lsn_ = options.resume_after_lsn;
   paused_ = options.start_paused;
   if (metrics != nullptr) {
     c_txns_received_ = metrics->GetCounter(obs::kMwTxnsReceived);
-    h_recv_latency_ = metrics->GetHistogram(
-        obs::kStageLatency, {{"stage", obs::kStageReceive}});
   }
   receive_thread_ = std::thread([this] { ReceiveLoop(); });
 }
@@ -62,27 +60,8 @@ void SubscriberAgent::ReceiveLoop() {
       break;
     }
     const int64_t pop_micros = NowMicros();
-    if (h_recv_latency_ != nullptr && message->deliver_micros != 0) {
-      h_recv_latency_->Record(pop_micros - message->deliver_micros);
-    }
     for (rel::LogTransaction& txn : *batch) {
       const uint64_t lsn = txn.lsn;
-      if (tracer_ != nullptr && txn.trace.sampled) {
-        // The broker hop, attributed from the message stamps (the broker
-        // never decodes payloads): queue share = publish -> delivery-thread
-        // pickup, service share = simulated delivery.
-        tracer_->RecordSpan(
-            txn.trace, lsn, trace::SpanStage::kBroker, message->publish_micros,
-            message->deliver_micros,
-            message->service_begin_micros > 0
-                ? message->service_begin_micros - message->publish_micros
-                : 0);
-        // The recv hop: broker delivery -> hand-off to the apply sink. Time
-        // spent in the subscription queue before the pop is queue wait.
-        tracer_->RecordSpan(txn.trace, lsn, trace::SpanStage::kReceive,
-                            message->deliver_micros, NowMicros(),
-                            pop_micros - message->deliver_micros);
-      }
       {
         // Duplicates below the resume point were installed from a snapshot
         // or direct log replay already. Duplicates at or below applied_lsn_
@@ -96,6 +75,21 @@ void SubscriberAgent::ReceiveLoop() {
           cv_.NotifyAll();
           continue;
         }
+      }
+      if (message->deliver_micros != 0) {
+        // The broker hop: queue share = publish -> delivery-thread pickup,
+        // service share = delivery.
+        hops_.RecordHop(
+            obs::Stage::kBroker, txn.trace, lsn, message->publish_micros,
+            message->deliver_micros,
+            message->service_begin_micros > 0
+                ? message->service_begin_micros - message->publish_micros
+                : 0);
+        // The recv hop: delivery -> hand-off to the sink. Time spent in the
+        // subscription queue before the pop is queue wait.
+        hops_.RecordHop(obs::Stage::kRecv, txn.trace, lsn,
+                        message->deliver_micros, NowMicros(),
+                        pop_micros - message->deliver_micros);
       }
       Status s = sink_(std::move(txn));
       if (c_txns_received_ != nullptr) c_txns_received_->Increment();

@@ -12,7 +12,7 @@
 #include "common/status.h"
 #include "mw/broker.h"
 #include "rel/txlog.h"
-#include "trace/tracer.h"
+#include "trace/hop_recorder.h"
 
 namespace txrep::mw {
 
@@ -47,10 +47,10 @@ class SubscriberAgent {
 
   /// Subscribes on `topic` and starts the receive thread immediately
   /// (paused when `options.start_paused`). `broker` (and `metrics` /
-  /// `tracer`, when given) must outlive the agent. The tracer receives the
-  /// broker and recv spans of every sampled transaction — the broker treats
-  /// payloads as opaque bytes, so span recording for its hop happens here,
-  /// from the message stamps, right after decode.
+  /// `tracer`, when given) must outlive the agent. Both receive the broker
+  /// and recv hops of every transaction handed to the sink. The broker
+  /// treats payloads as opaque bytes, so its hop is recorded here, from the
+  /// message stamps.
   SubscriberAgent(Broker* broker, const std::string& topic, TxnSink sink,
                   obs::MetricsRegistry* metrics = nullptr,
                   SubscriberOptions options = {},
@@ -97,8 +97,7 @@ class SubscriberAgent {
   MessageSource* subscription_;  // Owned by the broker / the caller.
   // analyze: lock-free(set in ctor, immutable afterwards)
   TxnSink sink_;
-  // analyze: lock-free(set in ctor, never reseated; pointee has its own synchronization)
-  trace::Tracer* tracer_;  // Not owned; may be null.
+  const trace::HopRecorder hops_;
 
   mutable check::Mutex mu_{"subscriber.mu"};
   check::CondVar cv_{&mu_};
@@ -114,8 +113,6 @@ class SubscriberAgent {
 
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_txns_received_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  Histogram* h_recv_latency_ = nullptr;
 };
 
 }  // namespace txrep::mw

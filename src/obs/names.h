@@ -1,6 +1,8 @@
 #ifndef TXREP_OBS_NAMES_H_
 #define TXREP_OBS_NAMES_H_
 
+#include <cstdint>
+
 /// Canonical metric names and label values, so every layer agrees on the
 /// naming scheme (documented in DESIGN.md §Observability):
 ///
@@ -10,24 +12,45 @@
 /// histogram; everything else is a gauge or a unitless histogram.
 namespace txrep::obs {
 
-// --- pipeline stage tracing -------------------------------------------------
-/// Per-stage latency histogram (µs), labeled {stage="..."}; the stages cover
-/// the full Fig. 3 path of one replicated transaction.
+// --- pipeline hops (DESIGN.md §7) -------------------------------------------
+/// Per-hop latency histogram (µs), labeled {stage=StageName(...)}.
 inline constexpr char kStageLatency[] = "txrep_stage_latency_us";
-/// DB commit -> replication message published.
-inline constexpr char kStagePublish[] = "publish";
-/// Message published -> broker handed it to subscriber queues.
-inline constexpr char kStageBroker[] = "broker_deliver";
-/// Broker delivery -> subscriber agent picked the transaction up.
-inline constexpr char kStageReceive[] = "subscriber_recv";
-/// One (re-)execution of the transaction body against its buffer.
-inline constexpr char kStageExecute[] = "execute";
-/// Commit request enqueued -> Algorithm 1 reached a commit decision.
-inline constexpr char kStageCommitEval[] = "commit_eval";
-/// Buffer apply to the key-value store (bottom pool / serial applier).
-inline constexpr char kStageApply[] = "apply";
-/// DB commit -> transaction fully applied on the replica (= replica lag).
-inline constexpr char kStageE2e[] = "e2e";
+
+/// The hops of one replicated transaction's Fig. 3 path, shared by the stage
+/// histograms and the flight recorder. Each hop starts on the stamp its
+/// predecessor ended on, so publish .. apply tile the e2e window. Values are
+/// stable (flight-recorder slots store them): append only.
+enum class Stage : uint8_t {
+  /// DB commit -> batch handed to the broker (publisher).
+  kPublish = 0,
+  /// Broker publish -> delivered to the subscriber (subscriber, from the
+  /// message stamps).
+  kBroker = 1,
+  /// Delivery -> subscriber hands the transaction to the applier.
+  kRecv = 2,
+  /// Hand-off -> Algorithm 1 commit decision (TM only; covers execution).
+  kCommitEval = 3,
+  /// Commit decision (serial: hand-off) -> applied to the replica.
+  kApply = 4,
+  /// DB commit -> applied to the replica (= replica lag).
+  kE2e = 5,
+};
+
+inline constexpr int kNumStages = 6;
+
+/// The {stage="..."} label value: the one spelling of each hop, shared by
+/// metrics, trace exporters and docs.
+inline const char* StageName(Stage stage) {
+  switch (stage) {
+    case Stage::kPublish: return "publish";
+    case Stage::kBroker: return "broker";
+    case Stage::kRecv: return "recv";
+    case Stage::kCommitEval: return "commit_eval";
+    case Stage::kApply: return "apply";
+    case Stage::kE2e: return "e2e";
+  }
+  return "unknown";
+}
 
 // --- per-transaction tracing / SLO (src/trace, DESIGN.md §11) ---------------
 /// Transactions minted with sampled=true at DB commit.
@@ -70,6 +93,9 @@ inline constexpr char kTmGcRemoved[] = "txrep_tm_gc_removed_total";
 inline constexpr char kTmConflictChecks[] = "txrep_tm_conflict_checks_total";
 /// Restarts per completed transaction (histogram, unitless).
 inline constexpr char kTmTxnRestarts[] = "txrep_tm_txn_restarts";
+/// One (re-)execution of a transaction body into its buffer (µs). Not a hop:
+/// a restarted transaction executes more than once inside its commit_eval.
+inline constexpr char kTmExecuteLatency[] = "txrep_tm_execute_us";
 
 // --- database / transaction log ---------------------------------------------
 inline constexpr char kDbCommits[] = "txrep_db_commits_total";

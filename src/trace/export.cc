@@ -41,17 +41,17 @@ std::vector<TraceSummary> BuildTraceSummaries(
   for (auto& [id, summary] : by_trace) {
     int64_t covered = 0;
     int64_t longest = -1;
-    for (int i = 0; i < kNumSpanStages; ++i) {
-      if (!summary.has[i] || i == static_cast<int>(SpanStage::kE2e)) continue;
+    for (int i = 0; i < obs::kNumStages; ++i) {
+      if (!summary.has[i] || i == static_cast<int>(obs::Stage::kE2e)) continue;
       const int64_t duration = summary.spans[i].duration_micros();
       covered += duration;
       if (duration > longest) {
         longest = duration;
-        summary.dominant = static_cast<SpanStage>(i);
+        summary.dominant = static_cast<obs::Stage>(i);
       }
     }
     summary.covered_micros = covered;
-    const size_t e2e = static_cast<size_t>(SpanStage::kE2e);
+    const size_t e2e = static_cast<size_t>(obs::Stage::kE2e);
     summary.e2e_micros =
         summary.has[e2e] ? summary.spans[e2e].duration_micros() : covered;
     out.push_back(summary);
@@ -59,7 +59,7 @@ std::vector<TraceSummary> BuildTraceSummaries(
   std::sort(out.begin(), out.end(),
             [](const TraceSummary& a, const TraceSummary& b) {
               const auto start = [](const TraceSummary& s) {
-                const size_t e2e = static_cast<size_t>(SpanStage::kE2e);
+                const size_t e2e = static_cast<size_t>(obs::Stage::kE2e);
                 return s.has[e2e] ? s.spans[e2e].start_micros : int64_t{0};
               };
               if (start(a) != start(b)) return start(a) < start(b);
@@ -71,13 +71,13 @@ std::vector<TraceSummary> BuildTraceSummaries(
 std::string ToChromeTraceJson(const std::vector<SpanEvent>& events) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (int i = 0; i < kNumSpanStages; ++i) {
+  for (int i = 0; i < obs::kNumStages; ++i) {
     if (!first) out += ',';
     first = false;
     AppendFormat(out,
                  "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
                  "\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                 i, SpanStageDisplay(static_cast<SpanStage>(i)));
+                 i, obs::StageName(static_cast<obs::Stage>(i)));
   }
   for (const SpanEvent& event : events) {
     if (!first) out += ',';
@@ -88,7 +88,7 @@ std::string ToChromeTraceJson(const std::vector<SpanEvent>& events) {
         "\"name\":\"%s\",\"ts\":%" PRId64 ",\"dur\":%" PRId64
         ",\"args\":{\"lsn\":%" PRIu64 ",\"trace_id\":%" PRIu64
         ",\"queue_us\":%" PRId64 ",\"service_us\":%" PRId64 "}}",
-        static_cast<int>(event.stage), SpanStageDisplay(event.stage),
+        static_cast<int>(event.stage), obs::StageName(event.stage),
         event.start_micros, event.duration_micros(), event.lsn, event.trace_id,
         event.queue_micros, event.service_micros());
   }
@@ -114,27 +114,27 @@ std::string ToTextTimeline(const std::vector<SpanEvent>& events,
                  "trace %" PRIu64 " (lsn %" PRIu64 ") e2e=%" PRId64
                  "us dominant=%s coverage=%.1f%%\n",
                  summary.trace_id, summary.lsn, summary.e2e_micros,
-                 SpanStageDisplay(summary.dominant),
+                 obs::StageName(summary.dominant),
                  100.0 * summary.coverage());
     int64_t origin = 0;
-    const size_t e2e = static_cast<size_t>(SpanStage::kE2e);
+    const size_t e2e = static_cast<size_t>(obs::Stage::kE2e);
     if (summary.has[e2e]) {
       origin = summary.spans[e2e].start_micros;
     } else {
-      for (int i = 0; i < kNumSpanStages; ++i) {
+      for (int i = 0; i < obs::kNumStages; ++i) {
         if (summary.has[i]) {
           origin = summary.spans[i].start_micros;
           break;
         }
       }
     }
-    for (int i = 0; i < kNumSpanStages; ++i) {
+    for (int i = 0; i < obs::kNumStages; ++i) {
       if (!summary.has[i]) continue;
       const SpanEvent& span = summary.spans[i];
       AppendFormat(out,
                    "  %-12s [%8" PRId64 " +%8" PRId64 "us] queue=%" PRId64
                    "us service=%" PRId64 "us\n",
-                   SpanStageDisplay(span.stage), span.start_micros - origin,
+                   obs::StageName(span.stage), span.start_micros - origin,
                    span.duration_micros(), span.queue_micros,
                    span.service_micros());
     }
@@ -144,17 +144,17 @@ std::string ToTextTimeline(const std::vector<SpanEvent>& events,
 
 std::string CriticalPathReport(const std::vector<TraceSummary>& summaries,
                                size_t slowest) {
-  std::array<int64_t, kNumSpanStages> dominated{};
+  std::array<int64_t, obs::kNumStages> dominated{};
   for (const TraceSummary& summary : summaries) {
     dominated[static_cast<size_t>(summary.dominant)]++;
   }
   std::string out;
   AppendFormat(out, "critical path over %zu traced transaction(s):\n",
                summaries.size());
-  for (int i = 0; i < kNumSpanStages; ++i) {
-    if (i == static_cast<int>(SpanStage::kE2e) || dominated[i] == 0) continue;
+  for (int i = 0; i < obs::kNumStages; ++i) {
+    if (i == static_cast<int>(obs::Stage::kE2e) || dominated[i] == 0) continue;
     AppendFormat(out, "  %-12s dominated %" PRId64 " (%.1f%%)\n",
-                 SpanStageDisplay(static_cast<SpanStage>(i)), dominated[i],
+                 obs::StageName(static_cast<obs::Stage>(i)), dominated[i],
                  summaries.empty()
                      ? 0.0
                      : 100.0 * dominated[i] / summaries.size());
@@ -171,7 +171,7 @@ std::string CriticalPathReport(const std::vector<TraceSummary>& summaries,
                  "  lsn %" PRIu64 ": e2e=%" PRId64 "us dominant=%s (%" PRId64
                  "us, queue=%" PRId64 "us)\n",
                  summary.lsn, summary.e2e_micros,
-                 SpanStageDisplay(summary.dominant),
+                 obs::StageName(summary.dominant),
                  summary.spans[static_cast<size_t>(summary.dominant)]
                      .duration_micros(),
                  summary.spans[static_cast<size_t>(summary.dominant)]

@@ -16,19 +16,19 @@ namespace txrep::trace {
 struct TraceSummary {
   uint64_t trace_id = 0;
   uint64_t lsn = 0;
-  std::array<bool, kNumSpanStages> has{};
-  std::array<SpanEvent, kNumSpanStages> spans{};
+  std::array<bool, obs::kNumStages> has{};
+  std::array<SpanEvent, obs::kNumStages> spans{};
 
   /// End-to-end lag: the e2e span when recorded, else the covered sum.
   int64_t e2e_micros = 0;
   /// Sum of the recorded per-hop durations (excluding the e2e span itself).
   int64_t covered_micros = 0;
   /// The longest recorded hop (excluding e2e) — the critical path's head.
-  SpanStage dominant = SpanStage::kPublish;
+  obs::Stage dominant = obs::Stage::kPublish;
 
   bool complete() const {
-    for (int i = 0; i < kNumSpanStages; ++i) {
-      if (i != static_cast<int>(SpanStage::kCommitEval) && !has[i]) {
+    for (int i = 0; i < obs::kNumStages; ++i) {
+      if (i != static_cast<int>(obs::Stage::kCommitEval) && !has[i]) {
         return false;
       }
     }

@@ -79,8 +79,8 @@ std::vector<SpanEvent> FlightRecorder::Dump() const {
       event.queue_micros = slot.queue_micros.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq_before) continue;
-      if (raw_stage >= static_cast<uint32_t>(kNumSpanStages)) continue;
-      event.stage = static_cast<SpanStage>(raw_stage);
+      if (raw_stage >= static_cast<uint32_t>(obs::kNumStages)) continue;
+      event.stage = static_cast<obs::Stage>(raw_stage);
       out.push_back(event);
     }
   }

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "trace/names.h"
+#include "obs/names.h"
 
 namespace txrep::trace {
 
@@ -17,7 +17,7 @@ namespace txrep::trace {
 struct SpanEvent {
   uint64_t trace_id = 0;
   uint64_t lsn = 0;
-  SpanStage stage = SpanStage::kPublish;
+  obs::Stage stage = obs::Stage::kPublish;
   int64_t start_micros = 0;
   int64_t end_micros = 0;
   /// Time spent waiting (log tail, broker queue, commit-req PQ, bottom-pool

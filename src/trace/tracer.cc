@@ -1,7 +1,5 @@
 #include "trace/tracer.h"
 
-#include <algorithm>
-
 #include "obs/names.h"
 
 namespace txrep::trace {
@@ -24,48 +22,10 @@ TraceContext Tracer::Mint(uint64_t lsn) {
   return ctx;
 }
 
-void Tracer::RecordSpan(const TraceContext& ctx, uint64_t lsn, SpanStage stage,
-                        int64_t start_micros, int64_t end_micros,
-                        int64_t queue_micros) {
-  if (!ctx.sampled) return;
-  SpanEvent event;
-  event.trace_id = ctx.trace_id;
-  event.lsn = lsn;
-  event.stage = stage;
-  event.start_micros = start_micros;
-  event.end_micros = std::max(end_micros, start_micros);
-  event.queue_micros =
-      std::clamp<int64_t>(queue_micros, 0, event.duration_micros());
-
+void Tracer::Record(const SpanEvent& event) {
   const bool kept = recorder_.Record(event);
   if (c_spans_ != nullptr) c_spans_->Increment();
   if (!kept && c_spans_dropped_ != nullptr) c_spans_dropped_->Increment();
-
-  if (options_.exemplars_per_stage > 0) {
-    const size_t idx = static_cast<size_t>(stage);
-    check::MutexLock lock(&mu_);
-    std::vector<SpanEvent>& top = exemplars_[idx];
-    if (top.size() < options_.exemplars_per_stage) {
-      top.push_back(event);
-      std::sort(top.begin(), top.end(),
-                [](const SpanEvent& a, const SpanEvent& b) {
-                  return a.duration_micros() < b.duration_micros();
-                });
-    } else if (event.duration_micros() > top.front().duration_micros()) {
-      top.front() = event;
-      std::sort(top.begin(), top.end(),
-                [](const SpanEvent& a, const SpanEvent& b) {
-                  return a.duration_micros() < b.duration_micros();
-                });
-    }
-  }
-}
-
-std::vector<SpanEvent> Tracer::Exemplars(SpanStage stage) const {
-  check::MutexLock lock(&mu_);
-  std::vector<SpanEvent> out = exemplars_[static_cast<size_t>(stage)];
-  std::reverse(out.begin(), out.end());  // Slowest first.
-  return out;
 }
 
 }  // namespace txrep::trace

@@ -1,11 +1,9 @@
 #ifndef TXREP_TRACE_TRACER_H_
 #define TXREP_TRACE_TRACER_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "check/mutex.h"
 #include "obs/metrics.h"
 #include "trace/context.h"
 #include "trace/recorder.h"
@@ -20,16 +18,14 @@ struct TracerOptions {
 
   /// Flight-recorder geometry (bounded memory; see recorder.h).
   FlightRecorderOptions recorder;
-
-  /// Slowest exemplar traces retained per stage (0 disables retention).
-  size_t exemplars_per_stage = 4;
 };
 
 /// Front door of the tracing subsystem: mints TraceContexts at DB commit,
-/// funnels every hop's spans into the flight recorder, mirrors volume
-/// counters into the metrics registry and retains the slowest-N exemplar
-/// spans per stage. One Tracer serves a whole deployment; every method is
-/// thread-safe and RecordSpan() is wait-free for unsampled transactions.
+/// funnels sampled hops into the flight recorder and mirrors volume counters
+/// into the metrics registry. One Tracer serves a whole deployment; every
+/// method is thread-safe and lock-free. Components record hops through a
+/// HopRecorder (trace/hop_recorder.h), which calls Record() for sampled
+/// transactions only.
 class Tracer {
  public:
   explicit Tracer(TracerOptions options = {},
@@ -46,38 +42,21 @@ class Tracer {
   /// Deterministic: the same lsn always yields the same decision.
   TraceContext Mint(uint64_t lsn);
 
-  /// Records one hop's span for a sampled transaction (no-op otherwise).
-  /// `queue_micros` is the waiting share of [start, end]; clamped into
-  /// [0, end - start].
-  void RecordSpan(const TraceContext& ctx, uint64_t lsn, SpanStage stage,
-                  int64_t start_micros, int64_t end_micros,
-                  int64_t queue_micros = 0);
+  /// Records one span into the flight recorder and counts it.
+  void Record(const SpanEvent& event);
 
   /// Snapshot of the flight recorder (see FlightRecorder::Dump).
   std::vector<SpanEvent> Dump() const { return recorder_.Dump(); }
-
-  /// The slowest exemplar spans retained for `stage`, slowest first.
-  std::vector<SpanEvent> Exemplars(SpanStage stage) const;
 
   const FlightRecorder& recorder() const { return recorder_; }
   const TracerOptions& options() const { return options_; }
 
  private:
-  // analyze: lock-free(set in ctor, immutable afterwards)
-  TracerOptions options_;
-  // analyze: lock-free(FlightRecorder owns its own mutex)
+  const TracerOptions options_;
   FlightRecorder recorder_;
 
-  mutable check::Mutex mu_{"trace.exemplars"};
-  /// Per stage, ascending by duration, at most exemplars_per_stage entries.
-  std::array<std::vector<SpanEvent>, kNumSpanStages> exemplars_
-      TXREP_GUARDED_BY(mu_);
-
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_sampled_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_spans_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_spans_dropped_ = nullptr;
 };
 

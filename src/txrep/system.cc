@@ -18,6 +18,8 @@ TxRepSystem::TxRepSystem(TxRepOptions options)
   cluster_ = std::make_unique<kv::KvCluster>(options_.cluster, &registry_);
   db_.EnableMetrics(&registry_);
   h_readonly_latency_ = registry_.GetHistogram(obs::kReadOnlyLatency);
+  h_lag_ = registry_.GetHistogram(
+      obs::kStageLatency, {{"stage", obs::StageName(obs::Stage::kE2e)}});
   if (options_.metrics_report_interval_micros > 0) {
     reporter_ = std::make_unique<obs::PeriodicReporter>(
         &registry_, options_.metrics_report_interval_micros,
@@ -36,8 +38,6 @@ TxRepSystem::~TxRepSystem() {
   if (broker_ != nullptr) broker_->Shutdown();   // Unblocks the subscriber.
   if (subscriber_ != nullptr) subscriber_->Stop();
   tm_.reset();  // Waits for in-flight transactions.
-  lag_queue_.Close();
-  if (lag_thread_.joinable()) lag_thread_.join();
 }
 
 Status TxRepSystem::Start() {
@@ -123,10 +123,6 @@ Status TxRepSystem::Start() {
     slo_->Start();
   }
 
-  if (options_.measure_lag) {
-    lag_thread_ = std::thread([this] { LagLoop(); });
-  }
-
   broker_ = std::make_unique<mw::Broker>(options_.broker, &registry_);
   mw::PublisherOptions pub_options = options_.publisher;
   pub_options.start_after_lsn = snapshot_lsn;
@@ -142,25 +138,14 @@ Status TxRepSystem::Start() {
 }
 
 Status TxRepSystem::ApplySink(rel::LogTransaction txn) {
-  const int64_t commit_micros = txn.commit_micros;
   if (tm_ != nullptr) {
-    std::shared_ptr<core::Transaction> handle =
-        tm_->SubmitUpdate(std::move(txn));
-    if (options_.measure_lag) {
-      lag_queue_.Push(LagProbe{std::move(handle), commit_micros});
-    }
+    tm_->SubmitUpdate(std::move(txn));
     return tm_->health();
   }
-  {
-    // Shared against Checkpoint()'s exclusive hold: a snapshot never
-    // observes a transaction half-applied by the serial path.
-    check::ReaderMutexLock lock(&apply_gate_);
-    TXREP_RETURN_IF_ERROR(serial_->Apply(txn));
-  }
-  if (options_.measure_lag) {
-    lag_histogram_.Record(NowMicros() - commit_micros);
-  }
-  return Status::OK();
+  // Shared against Checkpoint()'s exclusive hold: a snapshot never observes
+  // a transaction half-applied by the serial path.
+  check::ReaderMutexLock lock(&apply_gate_);
+  return serial_->Apply(txn);
 }
 
 Result<recov::CheckpointStats> TxRepSystem::Checkpoint() {
@@ -200,18 +185,6 @@ void TxRepSystem::set_checkpoint_faults(
     const recov::CheckpointFaults& faults) {
   options_.recovery.faults = faults;
   if (checkpoint_writer_ != nullptr) checkpoint_writer_->set_faults(faults);
-}
-
-void TxRepSystem::LagLoop() {
-  for (;;) {
-    std::optional<LagProbe> probe = lag_queue_.Pop();
-    if (!probe.has_value()) return;
-    if (probe->handle != nullptr) {
-      // analyze: discard(lag probe only measures elapsed time; apply errors surface on the apply path itself)
-      (void)probe->handle->Wait();
-    }
-    lag_histogram_.Record(NowMicros() - probe->commit_micros);
-  }
 }
 
 Status TxRepSystem::AttachWireEndpoint(net::EndpointOptions options) {
@@ -316,11 +289,9 @@ Result<qt::ConsistencyReport> TxRepSystem::AuditReplica() {
 uint64_t TxRepSystem::TruncateReplicatedLog() {
   // Only transactions the replica *applied* may be dropped; for the TM path
   // an LSN handed to the subscriber may still be in flight, so wait for the
-  // manager to drain before reading the watermark.
-  if (tm_ != nullptr) {
-    // analyze: discard(drain before reading the watermark; on timeout the stale watermark just truncates less)
-    (void)tm_->WaitIdle();
-  }
+  // manager to drain before reading the watermark. A failed TM stops short
+  // of LSNs already handed off: keep the whole log.
+  if (tm_ != nullptr && !tm_->WaitIdle().ok()) return 0;
   const uint64_t watermark = replica_lsn();
   if (watermark > 0) {
     db_.log().TruncateUpTo(watermark);

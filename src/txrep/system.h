@@ -3,11 +3,9 @@
 
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "blink/blink_tree.h"
-#include "common/blocking_queue.h"
 #include "common/histogram.h"
 #include "common/result.h"
 #include "core/serial_applier.h"
@@ -73,9 +71,6 @@ struct TxRepOptions {
   /// false: the single-threaded serial baseline.
   bool concurrent_replication = true;
 
-  /// Record per-transaction replication lag (DB commit -> replica apply).
-  bool measure_lag = false;
-
   /// > 0: a background reporter thread dumps the metrics registry at this
   /// interval (to the log by default, or to `metrics_report_sink`).
   int64_t metrics_report_interval_micros = 0;
@@ -88,7 +83,7 @@ struct TxRepOptions {
 
   /// Per-transaction distributed tracing (off unless sample_every > 0):
   /// sampled transactions carry a trace context from DB commit through the
-  /// pipeline and every hop records spans into the flight recorder.
+  /// pipeline and every hop of theirs lands in the flight recorder.
   trace::TracerOptions trace;
 
   /// Replica-lag SLO watchdog (off unless slo.enabled): burn-rate tracking
@@ -203,13 +198,14 @@ class TxRepSystem {
   obs::MetricsRegistry& metrics() { return registry_; }
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
-  /// Replication lag distribution in microseconds (empty unless
-  /// options.measure_lag).
-  const Histogram& lag_histogram() const { return lag_histogram_; }
+  /// Replication lag distribution in microseconds: the e2e stage histogram,
+  /// which the applier records before a transaction counts as applied (so
+  /// it is complete once SyncToLatest() returns).
+  const Histogram& lag_histogram() const { return *h_lag_; }
 
   /// The deployment tracer (null unless options.trace.sample_every > 0).
-  /// Dump() / Exemplars() read the flight recorder; feed the result to
-  /// trace/export.h for Chrome-trace JSON or a text timeline.
+  /// Dump() reads the flight recorder; feed the result to trace/export.h for
+  /// Chrome-trace JSON, a text timeline or a critical-path report.
   trace::Tracer* tracer() { return tracer_.get(); }
 
   /// The SLO watchdog (null unless options.slo.enabled).
@@ -221,7 +217,7 @@ class TxRepSystem {
   /// returns, so this is the applied LSN. Under the TM the sink only
   /// submits, so the transaction at this LSN, and some below it, may still
   /// be executing or applying; only an idle TM makes it an applied prefix.
-  /// A true applied-prefix watermark is ROADMAP item 5.
+  /// A true applied-prefix watermark is an open part of ROADMAP item 4.
   uint64_t replica_lsn() const;
 
   /// Audits the replica against the database (row objects, hash postings,
@@ -231,9 +227,9 @@ class TxRepSystem {
 
   /// Truncates the database's transaction log up to replica_lsn(), after
   /// first waiting for the TM (if any) to go idle so that every LSN handed
-  /// off so far has been applied. A failed TM ends that wait early, and the
-  /// truncation point may then cover transactions it never applied.
-  /// Returns the truncation point. The publisher never re-reads below its
+  /// off so far has been applied. A failed TM may not have applied what was
+  /// handed off, so then nothing is truncated and 0 is returned. Otherwise
+  /// returns the truncation point. The publisher never re-reads below its
   /// shipped cursor, and entries above the returned LSN are retained.
   uint64_t TruncateReplicatedLog();
 
@@ -241,13 +237,7 @@ class TxRepSystem {
   const TxRepOptions& options() const { return options_; }
 
  private:
-  struct LagProbe {
-    std::shared_ptr<core::Transaction> handle;  // Null under serial applier.
-    int64_t commit_micros = 0;
-  };
-
   Status ApplySink(rel::LogTransaction txn);
-  void LagLoop();
 
   /// Declared first so it is destroyed last: every component below holds
   /// instrument pointers into it.
@@ -258,7 +248,7 @@ class TxRepSystem {
   TxRepOptions options_;
 
   /// Declared before the pipeline components (destroyed after them): the
-  /// log, publisher, subscriber and appliers all record spans into it. The
+  /// log, publisher, subscriber and appliers all record hops into it. The
   /// watchdog thread is stopped explicitly in the destructor before the
   /// appliers it probes go away.
   // analyze: lock-free(wired before worker threads start; teardown joins first)
@@ -290,13 +280,6 @@ class TxRepSystem {
   // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<mw::SubscriberAgent> subscriber_;
 
-  // analyze: lock-free(Histogram is internally synchronized)
-  Histogram lag_histogram_;
-  // analyze: lock-free(BlockingQueue is internally synchronized)
-  BlockingQueue<LagProbe> lag_queue_;
-  // analyze: lock-free(thread handle; started once, joined in Stop/dtor only)
-  std::thread lag_thread_;
-
   /// Serializes serial-path applies against checkpointing: the subscriber
   /// sink holds it shared per transaction, Checkpoint() exclusively (the TM
   /// path has its own quiescent barrier instead).
@@ -313,6 +296,8 @@ class TxRepSystem {
 
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_readonly_latency_ = nullptr;
+  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
+  Histogram* h_lag_ = nullptr;
 
   /// Declared last so it stops before anything it samples is destroyed.
   // analyze: lock-free(wired before worker threads start; teardown joins first)

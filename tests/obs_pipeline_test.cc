@@ -1,8 +1,8 @@
 // Integration test for the observability tentpole: drive a full TxRep
-// deployment, then assert that every pipeline stage of Fig. 3 left latency
-// samples in the registry, that the queue gauges and per-node KV counters
-// exist, and that TransactionManager::stats() agrees exactly with the
-// registry-backed counters it is derived from.
+// deployment, then assert that every hop of Fig. 3 left latency samples in
+// the registry and that the hops tile the replica lag, that the queue gauges
+// and per-node KV counters exist, and that TransactionManager::stats()
+// agrees exactly with the registry-backed counters it is derived from.
 
 #include <atomic>
 #include <chrono>
@@ -57,11 +57,20 @@ const MetricPoint* FindGauge(const MetricsSnapshot& snapshot,
   return nullptr;
 }
 
-int64_t StageCount(const MetricsSnapshot& snapshot, const char* stage) {
-  const HistogramPoint* h =
-      FindHistogram(snapshot, obs::kStageLatency, {{"stage", stage}});
+const HistogramPoint* FindStage(const MetricsSnapshot& snapshot,
+                                obs::Stage stage) {
+  return FindHistogram(snapshot, obs::kStageLatency,
+                       {{"stage", obs::StageName(stage)}});
+}
+
+int64_t StageCount(const MetricsSnapshot& snapshot, obs::Stage stage) {
+  const HistogramPoint* h = FindStage(snapshot, stage);
   return h == nullptr ? -1 : h->snapshot.count;
 }
+
+constexpr obs::Stage kAllStages[] = {
+    obs::Stage::kPublish,    obs::Stage::kBroker, obs::Stage::kRecv,
+    obs::Stage::kCommitEval, obs::Stage::kApply,  obs::Stage::kE2e};
 
 void RunWriteWorkload(TxRepSystem& sys, int inserts) {
   for (int i = 1; i <= inserts; ++i) {
@@ -97,13 +106,16 @@ TEST(ObsPipelineTest, ConcurrentPipelineRecordsEveryStage) {
 
   const MetricsSnapshot snapshot = sys.metrics().Snapshot();
 
-  // All seven Fig. 3 stages left latency samples (issue floor: >= 5).
-  for (const char* stage :
-       {obs::kStagePublish, obs::kStageBroker, obs::kStageReceive,
-        obs::kStageExecute, obs::kStageCommitEval, obs::kStageApply,
-        obs::kStageE2e}) {
-    EXPECT_GT(StageCount(snapshot, stage), 0) << "stage " << stage;
+  // Every Fig. 3 hop left one sample per replicated transaction; each
+  // (re-)execution inside commit_eval is timed by the TM.
+  for (obs::Stage stage : kAllStages) {
+    EXPECT_EQ(StageCount(snapshot, stage), 17)
+        << "stage " << obs::StageName(stage);
   }
+  const HistogramPoint* execute =
+      FindHistogram(snapshot, obs::kTmExecuteLatency, {});
+  ASSERT_NE(execute, nullptr);
+  EXPECT_GE(execute->snapshot.count, 17);
 
   // Queue-depth gauges exist for every backlog in the pipeline; after a full
   // drain they must read as empty or better-than-empty never negative.
@@ -185,14 +197,53 @@ TEST(ObsPipelineTest, SerialBaselineRecordsApplyAndLagStages) {
   TXREP_ASSERT_OK(sys.SyncToLatest());
 
   const MetricsSnapshot snapshot = sys.metrics().Snapshot();
-  // The serial applier still reports the replica-side stages...
-  EXPECT_GT(StageCount(snapshot, obs::kStageApply), 0);
-  EXPECT_GT(StageCount(snapshot, obs::kStageE2e), 0);
-  // ...and the middleware stages are applier-independent.
-  EXPECT_GT(StageCount(snapshot, obs::kStagePublish), 0);
-  EXPECT_GT(StageCount(snapshot, obs::kStageBroker), 0);
-  // No TM in this configuration, so no execute/commit-eval samples.
-  EXPECT_LE(StageCount(snapshot, obs::kStageExecute), 0);
+  // The serial applier still reports the replica-side hops, and the
+  // middleware hops are applier-independent.
+  for (obs::Stage stage : {obs::Stage::kPublish, obs::Stage::kBroker,
+                           obs::Stage::kRecv, obs::Stage::kApply,
+                           obs::Stage::kE2e}) {
+    EXPECT_EQ(StageCount(snapshot, stage), 12)
+        << "stage " << obs::StageName(stage);
+  }
+  // No TM in this configuration, so no commit-eval or execute samples.
+  EXPECT_LE(StageCount(snapshot, obs::Stage::kCommitEval), 0);
+  EXPECT_EQ(FindHistogram(snapshot, obs::kTmExecuteLatency, {}), nullptr);
+}
+
+TEST(ObsPipelineTest, UntracedHopsTileTheReplicaLag) {
+  // No tracing, and a KV node slow enough (ms per op) that execution and
+  // the bottom-pool wait dominate the lag: a hop that left either out
+  // would miss most of it.
+  TxRepOptions options;
+  options.cluster.num_nodes = 1;
+  options.cluster.node.service_time_micros = 1000;
+  options.cluster.node.service_slots = 2;
+  options.tm.top_threads = 4;
+  options.tm.bottom_threads = 2;
+  TxRepSystem sys(options);
+  TXREP_ASSERT_OK(sql::ExecuteSql(sys.database(), kSchemaSql).status());
+  TXREP_ASSERT_OK(sys.Start());
+  RunWriteWorkload(sys, 15);
+  TXREP_ASSERT_OK(sys.SyncToLatest());
+  ASSERT_EQ(sys.tracer(), nullptr);
+
+  const MetricsSnapshot snapshot = sys.metrics().Snapshot();
+  const int64_t replicated = sys.tm_stats().completed;
+  ASSERT_EQ(replicated, 17);
+  int64_t hop_sum = 0;
+  for (obs::Stage stage : kAllStages) {
+    const HistogramPoint* h = FindStage(snapshot, stage);
+    ASSERT_NE(h, nullptr) << "stage " << obs::StageName(stage);
+    EXPECT_EQ(h->snapshot.count, replicated)
+        << "stage " << obs::StageName(stage);
+    if (stage != obs::Stage::kE2e) hop_sum += h->snapshot.sum;
+  }
+  const int64_t e2e_sum = FindStage(snapshot, obs::Stage::kE2e)->snapshot.sum;
+  ASSERT_GT(e2e_sum, 0);
+  const double ratio =
+      static_cast<double>(hop_sum) / static_cast<double>(e2e_sum);
+  EXPECT_GT(ratio, 0.95) << hop_sum << " of " << e2e_sum;
+  EXPECT_LT(ratio, 1.05) << hop_sum << " of " << e2e_sum;
 }
 
 TEST(ObsPipelineTest, PeriodicReporterWiredThroughOptions) {

@@ -1,20 +1,19 @@
 // Exporter tests: Chrome trace-event JSON structural validity, summary
 // folding (coverage, completeness, dominant-hop attribution), the text
-// timeline, the critical-path report and tracer exemplar retention.
+// timeline and the critical-path report.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/names.h"
 #include "trace/export.h"
-#include "trace/names.h"
-#include "trace/tracer.h"
 
 namespace txrep::trace {
 namespace {
 
-SpanEvent MakeSpan(uint64_t trace_id, SpanStage stage, int64_t start,
+SpanEvent MakeSpan(uint64_t trace_id, obs::Stage stage, int64_t start,
                    int64_t end, int64_t queue = 0) {
   SpanEvent event;
   event.trace_id = trace_id;
@@ -30,12 +29,12 @@ SpanEvent MakeSpan(uint64_t trace_id, SpanStage stage, int64_t start,
 // the broker hop dominating (60 of 100 µs).
 std::vector<SpanEvent> FullTrace(uint64_t id, int64_t t0) {
   return {
-      MakeSpan(id, SpanStage::kPublish, t0, t0 + 10),
-      MakeSpan(id, SpanStage::kBroker, t0 + 10, t0 + 70, /*queue=*/50),
-      MakeSpan(id, SpanStage::kReceive, t0 + 70, t0 + 80),
-      MakeSpan(id, SpanStage::kCommitEval, t0 + 80, t0 + 90),
-      MakeSpan(id, SpanStage::kApply, t0 + 90, t0 + 100),
-      MakeSpan(id, SpanStage::kE2e, t0, t0 + 100),
+      MakeSpan(id, obs::Stage::kPublish, t0, t0 + 10),
+      MakeSpan(id, obs::Stage::kBroker, t0 + 10, t0 + 70, /*queue=*/50),
+      MakeSpan(id, obs::Stage::kRecv, t0 + 70, t0 + 80),
+      MakeSpan(id, obs::Stage::kCommitEval, t0 + 80, t0 + 90),
+      MakeSpan(id, obs::Stage::kApply, t0 + 90, t0 + 100),
+      MakeSpan(id, obs::Stage::kE2e, t0, t0 + 100),
   };
 }
 
@@ -93,8 +92,8 @@ TEST(TraceExportTest, ChromeTraceJsonIsStructurallyValid) {
   ExpectStructurallyValidJson(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  // Stage display names come from names.h, without the "span." prefix.
-  EXPECT_NE(json.find(SpanStageDisplay(SpanStage::kBroker)), std::string::npos);
+  // Stage display names are the obs/names.h label spellings.
+  EXPECT_NE(json.find(obs::StageName(obs::Stage::kBroker)), std::string::npos);
   EXPECT_NE(json.find("\"lsn\""), std::string::npos);
   // Both transactions exported.
   EXPECT_NE(json.find("10"), std::string::npos);
@@ -117,14 +116,14 @@ TEST(TraceExportTest, SummariesFoldCoverageAndDominantHop) {
   EXPECT_EQ(s.e2e_micros, 100);
   EXPECT_EQ(s.covered_micros, 100);  // Hops are contiguous -> full coverage.
   EXPECT_DOUBLE_EQ(s.coverage(), 1.0);
-  EXPECT_EQ(s.dominant, SpanStage::kBroker);
+  EXPECT_EQ(s.dominant, obs::Stage::kBroker);
 }
 
 TEST(TraceExportTest, IncompleteTraceReportsPartialCoverage) {
   // Only publish + e2e recorded: 10 of 100 µs attributed.
   const std::vector<SpanEvent> events = {
-      MakeSpan(3, SpanStage::kPublish, 0, 10),
-      MakeSpan(3, SpanStage::kE2e, 0, 100),
+      MakeSpan(3, obs::Stage::kPublish, 0, 10),
+      MakeSpan(3, obs::Stage::kE2e, 0, 100),
   };
   const std::vector<TraceSummary> summaries = BuildTraceSummaries(events);
   ASSERT_EQ(summaries.size(), 1u);
@@ -132,7 +131,7 @@ TEST(TraceExportTest, IncompleteTraceReportsPartialCoverage) {
   EXPECT_EQ(summaries[0].e2e_micros, 100);
   EXPECT_EQ(summaries[0].covered_micros, 10);
   EXPECT_DOUBLE_EQ(summaries[0].coverage(), 0.1);
-  EXPECT_EQ(summaries[0].dominant, SpanStage::kPublish);
+  EXPECT_EQ(summaries[0].dominant, obs::Stage::kPublish);
 }
 
 TEST(TraceExportTest, SummariesOrderedByStartAndSplitByTrace) {
@@ -154,7 +153,7 @@ TEST(TraceExportTest, CriticalPathReportNamesDominantHop) {
   const std::string report =
       CriticalPathReport(BuildTraceSummaries(events), /*slowest=*/3);
   // Every transaction's critical path is the broker hop.
-  EXPECT_NE(report.find(SpanStageDisplay(SpanStage::kBroker)),
+  EXPECT_NE(report.find(obs::StageName(obs::Stage::kBroker)),
             std::string::npos);
   EXPECT_NE(report.find("5"), std::string::npos);  // Trace count shows up.
 }
@@ -175,24 +174,6 @@ TEST(TraceExportTest, TextTimelineCapsTraces) {
   }
   EXPECT_EQ(count, 2u);
   EXPECT_FALSE(ToTextTimeline({}).empty());  // Says "no traces", not crash.
-}
-
-TEST(TraceExportTest, TracerRetainsSlowestExemplars) {
-  TracerOptions options;
-  options.sample_every = 1;
-  options.exemplars_per_stage = 2;
-  Tracer tracer(options);
-  for (uint64_t lsn = 1; lsn <= 6; ++lsn) {
-    const TraceContext ctx = tracer.Mint(lsn);
-    // Durations 10, 20, ..., 60 µs.
-    tracer.RecordSpan(ctx, lsn, SpanStage::kApply, 0,
-                      static_cast<int64_t>(lsn) * 10);
-  }
-  const std::vector<SpanEvent> exemplars = tracer.Exemplars(SpanStage::kApply);
-  ASSERT_EQ(exemplars.size(), 2u);
-  EXPECT_EQ(exemplars[0].duration_micros(), 60);  // Slowest first.
-  EXPECT_EQ(exemplars[1].duration_micros(), 50);
-  EXPECT_TRUE(tracer.Exemplars(SpanStage::kBroker).empty());
 }
 
 }  // namespace

@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/names.h"
 #include "test_util.h"
 #include "trace/export.h"
-#include "trace/names.h"
 #include "txrep/system.h"
 #include "workload/tpcw.h"
 
@@ -22,7 +22,6 @@ namespace txrep {
 namespace {
 
 using trace::SpanEvent;
-using trace::SpanStage;
 using trace::TraceSummary;
 
 struct TracedRun {
@@ -105,15 +104,15 @@ TEST(TracePipelineTest, CriticalPathNamesDominantHop) {
   // Every complete summary attributes a real (non-e2e) hop.
   for (const TraceSummary& s : summaries) {
     if (!s.complete()) continue;
-    EXPECT_NE(s.dominant, SpanStage::kE2e);
+    EXPECT_NE(s.dominant, obs::Stage::kE2e);
     EXPECT_TRUE(s.has[static_cast<int>(s.dominant)]);
   }
   const std::string report = trace::CriticalPathReport(summaries);
   bool names_a_hop = false;
-  for (SpanStage stage : {SpanStage::kPublish, SpanStage::kBroker,
-                          SpanStage::kReceive, SpanStage::kCommitEval,
-                          SpanStage::kApply}) {
-    if (report.find(trace::SpanStageDisplay(stage)) != std::string::npos) {
+  for (obs::Stage stage : {obs::Stage::kPublish, obs::Stage::kBroker,
+                           obs::Stage::kRecv, obs::Stage::kCommitEval,
+                           obs::Stage::kApply}) {
+    if (report.find(obs::StageName(stage)) != std::string::npos) {
       names_a_hop = true;
     }
   }
@@ -171,7 +170,7 @@ TEST(TracePipelineTest, SerialBaselineTracesWithoutCommitEval) {
   for (const TraceSummary& s : summaries) {
     // The serial baseline has no TM, so no commit-eval span — complete()
     // already treats that hop as optional.
-    EXPECT_FALSE(s.has[static_cast<int>(SpanStage::kCommitEval)]);
+    EXPECT_FALSE(s.has[static_cast<int>(obs::Stage::kCommitEval)]);
     if (s.complete()) ++complete;
   }
   EXPECT_GE(complete, run.writes);
@@ -187,23 +186,6 @@ TEST(TracePipelineTest, SloWatchdogObservesAppliedLag) {
   EXPECT_GE(status.observations, run.writes);
   EXPECT_EQ(status.stalls, 0);  // A drained pipeline is not a stall.
   EXPECT_NE(run.sys->slo()->Report().find("slo:"), std::string::npos);
-}
-
-TEST(TracePipelineTest, ExemplarsRetainedPerStage) {
-  TracedRun run = RunTracedWorkload(/*sample_every=*/1, /*concurrent=*/true);
-  const std::vector<SpanEvent> exemplars =
-      run.sys->tracer()->Exemplars(SpanStage::kE2e);
-  ASSERT_FALSE(exemplars.empty());
-  EXPECT_LE(exemplars.size(),
-            run.sys->tracer()->options().exemplars_per_stage);
-  // Slowest first, and genuinely the stage asked for.
-  for (size_t i = 1; i < exemplars.size(); ++i) {
-    EXPECT_GE(exemplars[i - 1].duration_micros(),
-              exemplars[i].duration_micros());
-  }
-  for (const SpanEvent& event : exemplars) {
-    EXPECT_EQ(event.stage, SpanStage::kE2e);
-  }
 }
 
 }  // namespace

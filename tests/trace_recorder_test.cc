@@ -15,7 +15,7 @@
 namespace txrep::trace {
 namespace {
 
-SpanEvent MakeEvent(uint64_t id, SpanStage stage = SpanStage::kApply) {
+SpanEvent MakeEvent(uint64_t id, obs::Stage stage = obs::Stage::kApply) {
   SpanEvent event;
   event.trace_id = id;
   event.lsn = id;
@@ -121,7 +121,7 @@ TEST(TraceRecorderTest, InvalidStageSkippedOnDump) {
   EXPECT_TRUE(recorder.Record(event));
   // A stage from a newer/corrupt writer must not crash the exporter path.
   event.trace_id = 2;
-  event.stage = static_cast<SpanStage>(250);
+  event.stage = static_cast<obs::Stage>(250);
   EXPECT_TRUE(recorder.Record(event));
   const std::vector<SpanEvent> dump = recorder.Dump();
   ASSERT_EQ(dump.size(), 1u);

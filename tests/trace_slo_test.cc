@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "trace/hop_recorder.h"
 #include "trace/slo.h"
 #include "trace/tracer.h"
 
@@ -142,7 +143,8 @@ TEST(TraceSloTest, DumpSinkReceivesFlightRecorderSpans) {
   tracer_options.sample_every = 1;
   Tracer tracer(tracer_options);
   const TraceContext ctx = tracer.Mint(1);
-  tracer.RecordSpan(ctx, 1, SpanStage::kApply, 100, 200);
+  HopRecorder(/*metrics=*/nullptr, &tracer)
+      .RecordHop(obs::Stage::kApply, ctx, 1, 100, 200);
 
   SloOptions options = ManualOptions();
   options.stall_timeout_micros = 10'000;
@@ -164,7 +166,7 @@ TEST(TraceSloTest, DumpSinkReceivesFlightRecorderSpans) {
   ASSERT_EQ(watchdog.Snapshot().dumps, 1);
   ASSERT_EQ(dumped.size(), 1u);
   EXPECT_EQ(dumped[0].lsn, 1u);
-  EXPECT_EQ(dumped[0].stage, SpanStage::kApply);
+  EXPECT_EQ(dumped[0].stage, obs::Stage::kApply);
 }
 
 TEST(TraceSloTest, BackgroundThreadStartsAndStops) {

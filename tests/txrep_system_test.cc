@@ -2,8 +2,6 @@
 
 #include "txrep/system.h"
 
-#include "common/clock.h"
-
 #include "gtest/gtest.h"
 #include "sql/interpreter.h"
 #include "test_util.h"
@@ -124,20 +122,19 @@ TEST(TxRepSystemTest, SerialBaselineProducesSameReplica) {
 }
 
 TEST(TxRepSystemTest, LagMeasurement) {
-  TxRepOptions options;
-  options.measure_lag = true;
-  options.broker.delivery_delay_micros = 1000;
-  TxRepSystem sys(options);
-  TXREP_ASSERT_OK(sql::ExecuteSql(sys.database(), kSchemaSql).status());
-  TXREP_ASSERT_OK(sys.Start());
-  PopulateItems(sys.database(), 10);
-  TXREP_ASSERT_OK(sys.SyncToLatest());
-  // Lag recording is asynchronous; wait for all probes briefly.
-  for (int i = 0; i < 100 && sys.lag_histogram().count() < 10; ++i) {
-    txrep::SleepForMicros(5000);
+  for (bool concurrent : {true, false}) {
+    TxRepOptions options;
+    options.concurrent_replication = concurrent;
+    options.broker.delivery_delay_micros = 1000;
+    TxRepSystem sys(options);
+    TXREP_ASSERT_OK(sql::ExecuteSql(sys.database(), kSchemaSql).status());
+    TXREP_ASSERT_OK(sys.Start());
+    PopulateItems(sys.database(), 10);
+    TXREP_ASSERT_OK(sys.SyncToLatest());
+    // The applier records the lag before a transaction counts as applied.
+    EXPECT_EQ(sys.lag_histogram().count(), 10);
+    EXPECT_GE(sys.lag_histogram().min(), 1000);  // At least the broker delay.
   }
-  EXPECT_EQ(sys.lag_histogram().count(), 10);
-  EXPECT_GE(sys.lag_histogram().min(), 1000);  // At least the broker delay.
 }
 
 TEST(TxRepSystemTest, StartTwiceFails) {
@@ -175,6 +172,36 @@ TEST(TxRepSystemTest, TruncateReplicatedLogKeepsPipelineWorking) {
   TXREP_ASSERT_OK(sys.SyncToLatest());
   testing::VerifyReplicaMatchesDatabase(sys.replica(), sys.database(),
                                         sys.translator());
+}
+
+TEST(TxRepSystemTest, TruncateAfterFatalTmFailureKeepsUnappliedLog) {
+  TxRepSystem sys((TxRepOptions()));
+  TXREP_ASSERT_OK(sql::ExecuteSql(sys.database(), kSchemaSql).status());
+  PopulateItems(sys.database(), 3);
+  TXREP_ASSERT_OK(sys.Start());
+  TXREP_ASSERT_OK(
+      sql::ExecuteSql(sys.database(), "INSERT INTO ITEM VALUES (4, 'x', 8.0);")
+          .status());
+  TXREP_ASSERT_OK(sys.SyncToLatest());
+  const uint64_t applied = sys.database().log().LastLsn();
+
+  // The replica's KV nodes go down for good: the next transactions exhaust
+  // their retries and the TM fails, after the subscriber handed them off.
+  sys.replica().SetFailureRate(1.0);
+  TXREP_ASSERT_OK(
+      sql::ExecuteSql(sys.database(),
+                      "UPDATE ITEM SET I_COST = 1.0 WHERE I_ID = 1;")
+          .status());
+  EXPECT_FALSE(sys.SyncToLatest().ok());
+  const uint64_t last = sys.database().log().LastLsn();
+  ASSERT_GT(last, applied);
+  ASSERT_GT(sys.replica_lsn(), applied);  // Handed off, never applied.
+
+  EXPECT_EQ(sys.TruncateReplicatedLog(), 0u);
+  const std::vector<rel::LogTransaction> kept =
+      sys.database().log().ReadSince(applied);
+  ASSERT_EQ(kept.size(), last - applied);
+  EXPECT_EQ(kept.front().lsn, applied + 1);
 }
 
 TEST(TxRepSystemTest, AggregateQueriesOnReplica) {
