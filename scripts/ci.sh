@@ -49,8 +49,8 @@ MODE="${1:-plain}"
 # protocol plus the SLO watchdog's poller thread are prime tsan targets),
 # and the wire replication boundary (frame codec, socket transport threads,
 # endpoint session fan-out, reconnect/dedup races — DESIGN.md §13), and the
-# optimistic version-latched B-link index (lock-free readers racing writer
-# latch hand-over-hand and version publication — DESIGN.md §14), and the
+# B-link index (lock-free readers racing its single writer's splits and
+# right-link publication — DESIGN.md §14), and the
 # TPC-C-lite workload suites (multi-table concurrent-vs-serial equivalence
 # replay, the seed-sweep explorer's tpcc mode, and the open-loop load
 # generator driving a live TM — DESIGN.md §15).

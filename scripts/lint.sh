@@ -30,11 +30,8 @@
 #     partial-write loops and EINTR retries live in exactly one layer
 #     (DESIGN.md §13).
 #
-#  7. Raw B-link version-word loads (OptLatch::RawVersionWord) are confined
-#     to src/blink/. Outside the index, a raw word peek bypasses the
-#     ReadBegin/ReadValidate protocol — it sees lock/obsolete bits without
-#     the acquire pairing that makes the node image trustworthy — so every
-#     other layer goes through the optimistic read API (DESIGN.md §14).
+#  (7. retired: the B-link tree has no version words any more; its readers
+#     take no latches at all (DESIGN.md §14).)
 #
 # Stdlib randomness is the analyzer's det-nondet-rand rule
 # (scripts/analyze.sh), not a grep rule here.
@@ -95,15 +92,6 @@ socket_calls=$(grep -rnE \
 if [[ -n "${socket_calls}" ]]; then
   echo "lint: socket syscalls outside src/net/ (use net::Socket / FrameTransport):"
   echo "${socket_calls}"
-  fail=1
-fi
-
-version_peeks=$(grep -rn 'RawVersionWord' \
-  src --include='*.h' --include='*.cc' \
-  | grep -v '^src/blink/' || true)
-if [[ -n "${version_peeks}" ]]; then
-  echo "lint: raw version-word loads outside src/blink/ (use ReadBegin/ReadValidate):"
-  echo "${version_peeks}"
   fail=1
 fi
 

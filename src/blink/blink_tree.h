@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "blink/node.h"
-#include "blink/opt_latch.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "kv/kv_store.h"
@@ -23,45 +22,25 @@ struct BlinkTreeOptions {
   /// Maximum keys per node before a split; split yields two ~half-full nodes.
   size_t max_node_keys = 32;
 
-  /// Bounded wait for a parent level a concurrent split has not published
-  /// yet (attempts x 50µs backoff). Exhaustion surfaces as Aborted — against
-  /// a live store the level lands within microseconds; against a stale
-  /// buffered snapshot it never will, and the TM's restart machinery picks
-  /// the Aborted up.
-  int max_parent_retries = 256;
-
-  /// Full traversal restarts from the root after an optimistic read hit an
-  /// obsolete node or a runaway right chain.
+  /// Traversals restart from the root at most this often (after a missing
+  /// node, a node off its expected level, or a runaway right chain) before
+  /// they give up with Aborted.
   int max_read_restarts = 64;
 
-  /// Right-sibling hops one traversal may take before the chain is declared
-  /// runaway (a cycle or a wedged snapshot).
-  int max_move_right = 1 << 16;
-
-  /// Optimistic re-reads of a single node (version mismatch) before the
-  /// read gives up with Aborted.
-  int max_read_attempts = 4096;
-
-  /// Optional registry (must outlive the tree) receiving the read-retry /
-  /// obsolete-hit counters, labeled {index="TABLE.COLUMN"}. The stats()
-  /// snapshot works with or without it.
+  /// Optional registry (must outlive the tree) receiving the missing-node
+  /// counter, labeled {index="TABLE.COLUMN"}. The stats() snapshot works
+  /// with or without it.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Contention counters of one BlinkTree instance (snapshot via stats()).
+/// Traversal counters of one BlinkTree instance (snapshot via stats()).
 struct BlinkTreeStats {
-  /// Version validation failed after decoding a node; the read re-ran.
-  int64_t read_retries = 0;
-  /// Backoff rounds readers spent waiting out a writer's lock bit.
-  int64_t read_spins = 0;
-  /// Reads that hit an obsolete version word (node left the snapshot).
-  int64_t obsolete_hits = 0;
+  /// Node reads that found no object in the store view.
+  int64_t missing_nodes = 0;
   /// Traversals restarted from the root.
   int64_t read_restarts = 0;
-  /// Right-sibling hops taken to repair concurrent splits.
+  /// Right-sibling hops taken to repair splits the descent did not see.
   int64_t move_rights = 0;
-  /// Backoff rounds writers spent waiting for a parent level to publish.
-  int64_t parent_waits = 0;
 };
 
 /// Lehman–Yao B-link tree mapped onto key-value objects (paper §4.2).
@@ -70,29 +49,30 @@ struct BlinkTreeStats {
 /// pointer + node-id allocator) is one KV object (`!bmeta_TABLE_COLUMN`).
 /// Because all state lives in the store:
 ///  - lookups and range scans take **no locks** — each node visit is one
-///    atomic GET validated against the node's optimistic version latch, and
-///    the right-sibling links repair any concurrent split (the paper's
-///    property (2): "read-only transactions can access the B-link tree ...
-///    without being blocked by updates");
+///    atomic GET of a whole node image, and the right-sibling links repair
+///    any split the descent did not see (the paper's property (2):
+///    "read-only transactions can access the B-link tree ... without being
+///    blocked by updates");
 ///  - when the "store" is a transaction buffer, the node reads/writes become
 ///    ordinary key conflicts handled by the TM (the paper's property (1)).
 ///
-/// Synchronization (DESIGN.md §14) is an in-process optimistic version latch
-/// per node: a 64-bit word holding lock bit + obsolete bit + version counter
-/// (blink::OptLatch). Readers snapshot the word before the GET and
-/// re-validate after decoding — on mismatch they retry the node, on an
-/// obsolete word they restart from the root. Writers spin-acquire the lock
-/// bit, hold at most one node latch at a time (hand-over-hand during
-/// move-right, plus briefly the meta latch, which is always innermost — so
-/// the latch order is deadlock-free), and bump the version when they unlatch
-/// after a modification. Deletion follows the usual B-link simplification:
-/// underfull/empty nodes are allowed and skipped by scans, no merging.
+/// Contract (DESIGN.md §14): one writer per store view at a time, any number
+/// of lock-free readers. The system meets it without locks — each
+/// TxnBuffer is used by one thread, appliers publish node images as write
+/// sets and never run tree code, and Algorithm 1 never applies two
+/// transactions that write the same node or meta object at once. A split
+/// writes the new right sibling before the left node that links to it, and
+/// a new root before the meta object that names it, so a reader on a live
+/// store always finds what it follows.
 ///
-/// Thread-compatible: concurrent Insert/Remove/scans on one BlinkTree over a
-/// shared concrete store are safe; two BlinkTree instances over the same
-/// store+table+column must share... nothing (latches are per-instance), so
-/// create one instance per shared store, or rely on the TM's conflict
-/// detection when going through transaction buffers.
+/// A reader that cannot finish on the view it sees — a node missing from it
+/// (a stale buffered view, or a sibling whose write has not landed yet), a
+/// node off its expected level (a buffered view stitched from two tree
+/// shapes), a runaway right chain — restarts from the root and reads the
+/// store again, up to max_read_restarts times, then returns Aborted. The TM
+/// re-executes an Aborted transaction on a fresher view. Deletion follows
+/// the usual B-link simplification: underfull/empty nodes are allowed and
+/// skipped by scans, no merging.
 class BlinkTree {
  public:
   BlinkTree(kv::KvStore* store, std::string table, std::string column,
@@ -127,25 +107,17 @@ class BlinkTree {
   Result<std::vector<std::string>> RangeScanRowKeys(const rel::Value& lo,
                                                     const rel::Value& hi);
 
-  /// Total live entries (walks the leaf level). Split-safe: each leaf
+  /// Total live entries (a full scan's length). Split-safe: each leaf
   /// contributes only entries within its high key, so entries mid-migration
-  /// to a fresh right sibling are never counted twice, and a walk that hits
-  /// an obsolete node restarts with a clean accumulator.
+  /// to a fresh right sibling are never counted twice.
   Result<size_t> EntryCount();
 
   /// Checks structural invariants of every reachable node (sortedness,
   /// fanout arity, level monotonicity, high-key bounds, right-chain
-  /// termination). For tests; OK when the tree is well-formed. Run on a
-  /// quiesced tree.
+  /// termination). OK when the tree is well-formed. Run on a quiesced tree.
   Status Validate();
 
-  /// Audits the version words of every reachable node on a quiesced tree:
-  /// no latch may be held and no reachable node may be obsolete. Catches
-  /// leaked lock bits (a writer path that returned without unlatching) and
-  /// wrongly-obsoleted live nodes.
-  Status AuditLatches();
-
-  /// Contention counters accumulated by this instance.
+  /// Traversal counters accumulated by this instance.
   BlinkTreeStats stats() const;
 
   const std::string& table() const { return table_; }
@@ -154,112 +126,49 @@ class BlinkTree {
  private:
   friend struct BlinkTreeTestPeer;
 
-  /// RAII writer latch. Default release (destructor, error paths) does not
-  /// bump the version — correct when the node was not modified, and when a
-  /// store write failed before touching state. After a WriteNode attempt,
-  /// release via PublishAndRelease() so overlapping optimistic readers
-  /// retry.
-  class OptGuard {
-   public:
-    explicit OptGuard(OptLatch* latch) : latch_(latch) { latch_->Lock(); }
-    ~OptGuard() {
-      if (latch_ != nullptr) latch_->UnlockNoBump();
-    }
-
-    OptGuard(OptGuard&& other) noexcept : latch_(other.latch_) {
-      other.latch_ = nullptr;
-    }
-    OptGuard& operator=(OptGuard&&) = delete;
-    OptGuard(const OptGuard&) = delete;
-    OptGuard& operator=(const OptGuard&) = delete;
-
-    /// Unlock + version bump: the node was (possibly) modified.
-    void PublishAndRelease() {
-      latch_->Unlock();
-      latch_ = nullptr;
-    }
-
-    /// Unlock without a bump: the node is untouched.
-    void Release() {
-      latch_->UnlockNoBump();
-      latch_ = nullptr;
-    }
-
-    /// Hand-over-hand move-right: acquire `next`, then release the current
-    /// latch (left-to-right acquisition along one level never cycles).
-    void MoveTo(OptLatch* next) {
-      next->Lock();
-      latch_->UnlockNoBump();
-      latch_ = next;
-    }
-
-   private:
-    OptLatch* latch_;
+  /// A node id together with the image read from the store.
+  struct NodeView {
+    uint64_t id = 0;
+    BlinkNode node;
   };
 
   // -- node/meta IO ---------------------------------------------------------
   std::string NodeKey(uint64_t id) const;
-  /// Raw node read, no version validation: for writers holding the node's
-  /// latch (ReadNodeOpt would spin forever on our own lock bit) and for
-  /// quiesced audits.
+  /// One atomic GET of node `id`. A missing object is Aborted: the pointer
+  /// led into a view that lacks the node, so the caller restarts from the
+  /// root and reads the store again.
   Result<BlinkNode> ReadNode(uint64_t id);
-  /// Optimistic node read: ReadBegin -> GET -> decode -> ReadValidate, with
-  /// bounded retry on version mismatch. Obsolete nodes return Aborted (the
-  /// caller restarts from the root); a validated NotFound marks the node
-  /// obsolete (the snapshot never had it) and propagates.
-  Result<BlinkNode> ReadNodeOpt(uint64_t id);
   Status WriteNode(uint64_t id, const BlinkNode& node);
   Result<BlinkMeta> ReadMeta();
   Status WriteMeta(const BlinkMeta& meta);
 
-  /// Allocates a fresh node id via read-modify-write on the meta object,
-  /// under the meta latch.
+  /// Allocates a fresh node id via read-modify-write on the meta object.
   Result<uint64_t> AllocateNodeId();
 
   // -- traversal ------------------------------------------------------------
   /// Child pointer covering `key` within an internal node.
   static size_t ChildIndexFor(const BlinkNode& node, const EntryKey& key);
 
-  /// A leaf id together with the validated image the descent saw.
-  struct LeafView {
-    uint64_t id = 0;
-    BlinkNode node;
-  };
+  /// Reads node `id` and follows right-links while `key` lies beyond it.
+  /// Every node visited must sit at `level` (a negative `level` accepts the
+  /// first node at any level: the root). Aborted on a missing node, a node
+  /// off its level or a runaway right chain.
+  Result<NodeView> MoveRight(uint64_t id, const EntryKey& key, int64_t level);
 
-  /// Descends lock-free from the root to the leaf that should hold `key`,
-  /// recording the node id entered at each internal level (for split
-  /// back-propagation). Performs move-right at every level; restarts from
-  /// the root (bounded) when a read aborts on an obsolete node.
-  Result<LeafView> DescendToLeafView(const EntryKey& key,
-                                     std::vector<uint64_t>* path);
-  Result<uint64_t> DescendToLeaf(const EntryKey& key,
-                                 std::vector<uint64_t>* path);
-
-  /// Leftmost leaf of the tree (scan/count entry point), restart-aware.
-  Result<uint64_t> LeftmostLeaf();
-
-  /// Lock-free descent from the current root to the node at `target_level`
-  /// responsible for `key` (used when the recorded path is stale). A root
-  /// shallower than `target_level` is transient — the writer splitting the
-  /// old root has not published the new one yet — so the descent retries
-  /// internally (bounded, 50µs backoff) instead of erroring to the caller;
-  /// exhaustion surfaces as Aborted.
-  Result<uint64_t> DescendToLevel(const EntryKey& key, uint32_t target_level);
+  /// Bounded lock-free descent from the root to the node at `level`
+  /// (0 = leaf) responsible for `key`, moving right at every level and
+  /// recording the internal nodes entered above `level` in `path` (null ok)
+  /// for split back-propagation. Restarts from the root up to
+  /// max_read_restarts times; a root below `level` is Aborted at once, since
+  /// a restart on the same view would see the same root.
+  Result<NodeView> Descend(const EntryKey& key, uint32_t level,
+                           std::vector<uint64_t>* path);
 
   // -- write path -----------------------------------------------------------
-  /// Latches `node_id` (moving right as needed for `key`, bounded), then
-  /// returns the node read under the latch. Used by Insert and Remove.
-  struct LatchedNode {
-    uint64_t id = 0;
-    BlinkNode node;
-  };
-  Result<LatchedNode> LatchForKey(uint64_t node_id, const EntryKey& key,
-                                  OptGuard& guard);
-
-  /// Splits the latched, overflowing `node` (id `node_id`), writes both
-  /// halves, releases the latch (version bump), and propagates the separator
-  /// upward. `path` holds the remembered ancestors (deepest last).
-  Status SplitAndPropagate(uint64_t node_id, BlinkNode node, OptGuard guard,
+  /// Splits the overflowing `node` (id `node_id`), writes both halves and
+  /// propagates the separator upward. `path` holds the remembered ancestors
+  /// (deepest last).
+  Status SplitAndPropagate(uint64_t node_id, BlinkNode node,
                            std::vector<uint64_t> path);
 
   /// Inserts (separator -> right_id) next to `left_id` at level
@@ -274,30 +183,17 @@ class BlinkTree {
   const BlinkTreeOptions options_;
   const std::string meta_key_;
 
-  /// Per-node optimistic version latches, indexed by node id; the meta
-  /// object gets its own dedicated latch (node ids start at 1).
-  OptLatchTable latches_;
-  OptLatch meta_latch_;
-
-  // Contention counters (relaxed; exact once writers quiesce).
+  // Traversal counters (relaxed: readers may share the tree with its writer).
   // analyze: lock-free(monotonic relaxed counters; stats() is a snapshot)
-  std::atomic<int64_t> read_retries_{0};
-  // analyze: lock-free(monotonic relaxed counters; stats() is a snapshot)
-  std::atomic<int64_t> read_spins_{0};
-  // analyze: lock-free(monotonic relaxed counters; stats() is a snapshot)
-  std::atomic<int64_t> obsolete_hits_{0};
+  std::atomic<int64_t> missing_nodes_{0};
   // analyze: lock-free(monotonic relaxed counters; stats() is a snapshot)
   std::atomic<int64_t> read_restarts_{0};
   // analyze: lock-free(monotonic relaxed counters; stats() is a snapshot)
   std::atomic<int64_t> move_rights_{0};
-  // analyze: lock-free(monotonic relaxed counters; stats() is a snapshot)
-  std::atomic<int64_t> parent_waits_{0};
 
-  // Registry instruments (null when the tree runs unobserved).
+  // Registry instrument (null when the tree runs unobserved).
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  obs::Counter* c_read_retries_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  obs::Counter* c_obsolete_hits_ = nullptr;
+  obs::Counter* c_missing_nodes_ = nullptr;
 };
 
 }  // namespace txrep::blink

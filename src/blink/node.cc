@@ -1,7 +1,5 @@
 #include "blink/node.h"
 
-#include <algorithm>
-
 #include "codec/encoding.h"
 #include "codec/value_codec.h"
 
@@ -35,12 +33,6 @@ bool operator==(const EntryKey& a, const EntryKey& b) {
 bool operator<(const EntryKey& a, const EntryKey& b) {
   if (a.value != b.value) return a.value < b.value;
   return a.row_key < b.row_key;
-}
-
-size_t BlinkNode::CountWithinHighKey() const {
-  if (!has_high_key) return entries.size();
-  auto it = std::upper_bound(entries.begin(), entries.end(), high_key);
-  return static_cast<size_t>(it - entries.begin());
 }
 
 std::string BlinkNode::DebugString() const {

@@ -55,13 +55,6 @@ struct BlinkNode {
     return is_leaf() ? entries.size() : separators.size();
   }
 
-  /// Leaf entries within the node's own key range (<= high_key; all of them
-  /// when the node is rightmost). During a split the entries above the high
-  /// key have already migrated to the right sibling — a leaf walk that counts
-  /// raw `entries.size()` against a torn image counts those twice, once here
-  /// and once in the sibling. Counting within the high key is split-safe.
-  size_t CountWithinHighKey() const;
-
   std::string DebugString() const;
 };
 

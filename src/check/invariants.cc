@@ -4,14 +4,6 @@
 
 namespace txrep::check {
 
-Status CheckBlinkTreeInvariants(blink::BlinkTree& tree) {
-  TXREP_RETURN_IF_ERROR(tree.Validate());
-  // Structure is sound; now audit the synchronization layer — on a quiesced
-  // tree no version latch may be held and no reachable node may be marked
-  // obsolete (a leaked lock bit means a writer path returned unlatched).
-  return tree.AuditLatches();
-}
-
 Status CheckReplicaEquivalence(kv::KvStore& store, rel::Database& db,
                                const qt::QueryTranslator& translator) {
   Result<qt::ConsistencyReport> report =

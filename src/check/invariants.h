@@ -1,21 +1,12 @@
 #ifndef TXREP_CHECK_INVARIANTS_H_
 #define TXREP_CHECK_INVARIANTS_H_
 
-#include "blink/blink_tree.h"
 #include "common/status.h"
 #include "kv/kv_store.h"
 #include "qt/query_translator.h"
 #include "rel/database.h"
 
 namespace txrep::check {
-
-/// Structural audit of one B-link range index: sortedness, fanout arity,
-/// level monotonicity, high-key bounds and right-chain termination of every
-/// reachable node (delegates to BlinkTree::Validate), followed by a version-
-/// latch audit (BlinkTree::AuditLatches — no latch held, no reachable node
-/// obsolete). Run it on a quiesced tree — concurrent writers make a
-/// structural snapshot meaningless.
-Status CheckBlinkTreeInvariants(blink::BlinkTree& tree);
 
 /// Full replica-equivalence audit (DESIGN.md §8): every row object present
 /// and byte-equal to the database row, hash-index postings exactly the

@@ -193,9 +193,9 @@ core::Transaction::Body MakeReadOnlyProbe(std::string key) {
   };
 }
 
-/// Read-only transaction body for opt_latch mode: builds an ephemeral
+/// Read-only transaction body for blink_probes mode: builds an ephemeral
 /// BlinkTree over the buffered view and runs a full range scan of the "S"
-/// range index, so the optimistic read path faces the torn cross-key
+/// range index, so the lock-free read path faces the torn cross-key
 /// snapshots a transaction buffer can serve. The scan must come back
 /// strictly sorted (a duplicate means a split was double-emitted); Aborted
 /// is legal — a wedged snapshot is exactly what the bounded retries are for,
@@ -206,9 +206,8 @@ core::Transaction::Body MakeBlinkProbe(size_t max_node_keys,
           column = std::move(column)](kv::KvStore* view) -> Status {
     blink::BlinkTreeOptions tree_options;
     tree_options.max_node_keys = max_node_keys;
-    // Keep the bounded waits short: against a stale buffered snapshot the
-    // retries can never succeed, and the TM is waiting on this body.
-    tree_options.max_parent_retries = 4;
+    // Keep the restart bound short: against a stale buffered snapshot the
+    // restarts can never succeed, and the TM is waiting on this body.
     tree_options.max_read_restarts = 8;
     blink::BlinkTree tree(view, table, column, tree_options);
     TXREP_ASSIGN_OR_RETURN(std::vector<blink::EntryKey> entries,
@@ -337,9 +336,9 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
     tracer = std::make_unique<trace::Tracer>(trace_options);
   }
 
-  // Opt-latch probe stream (private, like the batch/trace knobs): which of
-  // the interleaved read-only slots become B-link index probes.
-  Random opt_rng(seed ^ 0x0b71a7c4b5eed111ULL);
+  // B-link probe stream (private, like the batch/trace knobs): which of the
+  // interleaved read-only slots become index probes.
+  Random probe_rng(seed ^ 0x0b71a7c4b5eed111ULL);
   std::vector<std::shared_ptr<core::Transaction>> blink_probes;
 
   core::TmStats stats;
@@ -385,7 +384,7 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
           rng.Bernoulli(config.read_only_rate)) {
         tm.SubmitReadOnly(MakeReadOnlyProbe(probe_key()));
       }
-      if (options_.opt_latch && opt_rng.Bernoulli(0.25)) {
+      if (options_.blink_probes && probe_rng.Bernoulli(0.25)) {
         blink_probes.push_back(tm.SubmitReadOnly(MakeBlinkProbe(
             config.max_node_keys, blink_table, blink_column)));
       }
@@ -398,9 +397,9 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
 
   for (const std::shared_ptr<core::Transaction>& probe : blink_probes) {
     const Status probe_status = probe->Wait();
-    // Unavailable (failure injection) and Aborted (wedged optimistic
-    // traversal on a stale buffer) are expected terminal states; anything
-    // else means the optimistic read path returned wrong data.
+    // Unavailable (failure injection) and Aborted (wedged traversal on a
+    // stale buffer) are expected terminal states; anything else means the
+    // lock-free read path returned wrong data.
     if (!probe_status.ok() && !probe_status.IsUnavailable() &&
         !probe_status.IsAborted()) {
       return Status::FailedPrecondition("blink probe failed: " +
@@ -448,22 +447,21 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
     TXREP_RETURN_IF_ERROR(
         RunWire(seed, db, config.max_node_keys, serial_store.Dump()));
   }
-  if (options_.opt_latch) {
-    TXREP_RETURN_IF_ERROR(
-        RunOptLatchHammer(seed, config.max_node_keys, report));
+  if (options_.blink_probes) {
+    TXREP_RETURN_IF_ERROR(RunBlinkHammer(seed, config.max_node_keys, report));
   }
   return Status::OK();
 }
 
-Status ScheduleExplorer::RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
-                                           ScheduleReport* report) {
+Status ScheduleExplorer::RunBlinkHammer(uint64_t seed, size_t max_node_keys,
+                                        ScheduleReport* report) {
   // A private random stream so the hammer's knobs never perturb the main
   // schedule derivation.
   Random rng(seed ^ 0x0b114ae4a71a7c8dULL);
 
   // Service-time jitter is what creates reader/writer overlap on small
-  // machines: a GET that sleeps mid-traversal gives writers time to split
-  // the node under the reader's version snapshot.
+  // machines: a GET that sleeps mid-traversal gives the writer time to split
+  // the node the reader is about to visit.
   kv::KvNodeOptions node_options;
   node_options.service_time_micros = static_cast<int64_t>(rng.Uniform(16));
   kv::InMemoryKvNode store(node_options);
@@ -473,50 +471,48 @@ Status ScheduleExplorer::RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
   blink::BlinkTree tree(&store, "S", "COST", tree_options);
   TXREP_RETURN_IF_ERROR(tree.Init());
 
-  // Seed population at even values; writers insert odd values, so readers
-  // can assert every seed entry stays visible throughout.
+  // Seed population at even values; the writer inserts odd values between
+  // them in a seed-derived order, splitting leaves all over the key range
+  // (under the readers' point lookups too), and readers assert every seed
+  // entry stays visible throughout.
   const int initial = 32 + static_cast<int>(rng.Uniform(33));
   for (int i = 0; i < initial; ++i) {
     TXREP_RETURN_IF_ERROR(
         tree.Insert(Value::Int(2 * i), "seed-" + std::to_string(i)));
   }
+  std::vector<int64_t> gaps(initial);
+  for (int i = 0; i < initial; ++i) gaps[i] = 2 * i + 1;
+  rng.Shuffle(gaps);
+  constexpr int kInserts = 24;  // <= the smallest seed population.
 
-  const int writers = 1 + static_cast<int>(rng.Uniform(2));
   const int readers = 2 + static_cast<int>(rng.Uniform(3));
-  constexpr int kInsertsPerWriter = 24;
-  std::atomic<int> writers_live{writers};
+  std::atomic<bool> writer_live{true};
   // Per-thread result slots: no shared mutable state between hammer threads
   // beyond the tree and the store themselves.
-  std::vector<Status> writer_status(writers);
+  Status writer_status;
   std::vector<Status> reader_status(readers);
   std::vector<std::thread> threads;
-  threads.reserve(writers + readers);
+  threads.reserve(1 + readers);
 
-  for (int w = 0; w < writers; ++w) {
-    threads.emplace_back([&, w] {
-      Status status;
-      for (int k = 0; k < kInsertsPerWriter && status.ok(); ++k) {
-        const int64_t value =
-            2 * static_cast<int64_t>(initial + k * writers + w) + 1;
-        status = tree.Insert(Value::Int(value), "w" + std::to_string(w));
-        if (status.ok() && k % 4 == 0) {
-          // Row noise beside the tree: the batched apply path writing the
-          // same store the readers traverse, like the TM's bottom pool
-          // would during sustained apply.
-          std::vector<kv::KvWrite> noise;
-          for (int n = 0; n < 8; ++n) {
-            noise.push_back(kv::KvWrite::Put(
-                "noise/w" + std::to_string(w) + "/" +
-                    std::to_string(k * 8 + n),
-                "x"));
-          }
-          status = store.MultiWrite(noise);
+  threads.emplace_back([&] {
+    Status status;
+    for (int k = 0; k < kInserts && status.ok(); ++k) {
+      status = tree.Insert(Value::Int(gaps[k]), "w");
+      if (status.ok() && k % 4 == 0) {
+        // Row noise beside the tree: the batched apply path writing the
+        // same store the readers traverse, like the TM's bottom pool would
+        // during sustained apply.
+        std::vector<kv::KvWrite> noise;
+        for (int n = 0; n < 8; ++n) {
+          noise.push_back(
+              kv::KvWrite::Put("noise/" + std::to_string(k * 8 + n), "x"));
         }
+        status = store.MultiWrite(noise);
       }
-      writer_status[w] = status;
-      writers_live.fetch_sub(1, std::memory_order_release);
-    });
-  }
+    }
+    writer_status = status;
+    writer_live.store(false, std::memory_order_release);
+  });
   for (int r = 0; r < readers; ++r) {
     threads.emplace_back([&, r] {
       Status status;  // First failure ends the loop.
@@ -540,18 +536,21 @@ Status ScheduleExplorer::RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
                 std::to_string(i));
           }
         }
+        // Point lookups of every seed entry, each reader from its own
+        // offset: the descents that race the writer's splits and must
+        // repair them over right-links.
+        for (int k = 0; k < initial && status.ok(); ++k) {
+          const int i = (k + r * initial / readers) % initial;
+          Result<bool> present =
+              tree.Contains(Value::Int(2 * i), "seed-" + std::to_string(i));
+          if (!present.ok()) {
+            status = present.status();
+          } else if (!*present) {
+            status = Status::FailedPrecondition(
+                "hammer lookup lost seed entry " + std::to_string(2 * i));
+          }
+        }
         if (!status.ok()) break;
-        Result<bool> present =
-            tree.Contains(Value::Int(2 * r), "seed-" + std::to_string(r));
-        if (!present.ok()) {
-          status = present.status();
-          break;
-        }
-        if (!*present) {
-          status = Status::FailedPrecondition(
-              "hammer lookup lost seed entry " + std::to_string(2 * r));
-          break;
-        }
         Result<size_t> count = tree.EntryCount();
         if (!count.ok()) {
           status = count.status();
@@ -563,22 +562,19 @@ Status ScheduleExplorer::RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
               std::to_string(*count) + " < " + std::to_string(initial));
           break;
         }
-      } while (writers_live.load(std::memory_order_acquire) > 0);
+      } while (writer_live.load(std::memory_order_acquire));
       reader_status[r] = status;
     });
   }
   for (std::thread& t : threads) t.join();
-  for (const Status& status : writer_status) TXREP_RETURN_IF_ERROR(status);
+  TXREP_RETURN_IF_ERROR(writer_status);
   for (const Status& status : reader_status) TXREP_RETURN_IF_ERROR(status);
 
-  // Quiesced audits: structure, latch words, and exact accounting (every
-  // insert landed exactly once — the split-safe count must agree).
+  // Quiesced audits: structure and exact accounting (every insert landed
+  // exactly once — the split-safe count must agree).
   TXREP_RETURN_IF_ERROR(tree.Validate());
-  TXREP_RETURN_IF_ERROR(tree.AuditLatches());
   TXREP_ASSIGN_OR_RETURN(size_t count, tree.EntryCount());
-  const size_t expected =
-      static_cast<size_t>(initial) +
-      static_cast<size_t>(writers) * static_cast<size_t>(kInsertsPerWriter);
+  const size_t expected = static_cast<size_t>(initial + kInserts);
   if (count != expected) {
     return Status::FailedPrecondition(
         "hammer entry count " + std::to_string(count) + " != expected " +
@@ -596,10 +592,8 @@ Status ScheduleExplorer::RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
 
   if (report != nullptr) {
     const blink::BlinkTreeStats tree_stats = tree.stats();
-    report->blink_read_events += tree_stats.read_retries +
-                                 tree_stats.read_spins +
-                                 tree_stats.move_rights +
-                                 tree_stats.read_restarts;
+    report->blink_read_events +=
+        tree_stats.move_rights + tree_stats.read_restarts;
   }
   return Status::OK();
 }

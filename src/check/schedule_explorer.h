@@ -79,22 +79,22 @@ struct ScheduleExplorerOptions {
   /// the paper's replica-equivalence oracle applied across the wire.
   bool wire = false;
 
-  /// Optimistic-latch mode: exercises the B-link version-latch protocol
-  /// (DESIGN.md §14) from two directions. (a) During the concurrent replay a
+  /// B-link probe mode: exercises the lock-free B-link readers (DESIGN.md
+  /// §14) from two directions. (a) During the concurrent replay a
   /// seed-derived fraction of the interleaved read-only transactions become
   /// *index probes*: each builds an ephemeral BlinkTree over its buffered
-  /// view and runs a full range scan, so the optimistic read path sees the
-  /// torn cross-key snapshots a transaction buffer can serve (scans must
-  /// still come back sorted; Aborted is legal and flows into the TM's
-  /// restart machinery). (b) After the replay, a scratch-store hammer runs
+  /// view and runs a full range scan, so the read path sees the torn
+  /// cross-key snapshots a transaction buffer can serve (scans must still
+  /// come back sorted; Aborted is legal and flows into the TM's restart
+  /// machinery). (b) After the replay, a scratch-store hammer runs
   /// seed-derived reader threads (scans, point lookups, entry counts)
-  /// against writer threads inserting through the tree while MultiWrite
-  /// batches land row noise in the same store; readers must never
-  /// observe a missing seed entry or unsorted output, and the quiesced tree
-  /// must pass the structural + latch audits with an exact entry count. The
-  /// knobs come from a private random stream, so existing seeds reproduce
-  /// identically in either mode.
-  bool opt_latch = false;
+  /// against one writer thread inserting through the tree while MultiWrite
+  /// batches land row noise in the same store; readers must never observe a
+  /// missing seed entry or unsorted output, and the quiesced tree must pass
+  /// the structural audit with an exact entry count. The knobs come from a
+  /// private random stream, so existing seeds reproduce identically in
+  /// either mode.
+  bool blink_probes = false;
 
   /// TPC-C mode: the seed's workload becomes a TPC-C-lite deployment
   /// (src/workload/tpcc.h) instead of the single-table synthetic — schema +
@@ -103,8 +103,8 @@ struct ScheduleExplorerOptions {
   /// remote-line fraction are all drawn from a private random stream. The
   /// contended district counters and cross-table multi-statement commits put
   /// multi-table write sets into the explored state space; interleaved
-  /// read-only probes target CUSTOMER rows and opt_latch index probes move to
-  /// the churning STOCK.S_QUANTITY index.
+  /// read-only probes target CUSTOMER rows and blink_probes index probes move
+  /// to the churning STOCK.S_QUANTITY index.
   /// Composes with crash_restart, batched_apply, traced and wire.
   bool tpcc = false;
 };
@@ -124,10 +124,9 @@ struct ScheduleReport {
   /// enough to mean anything.
   int64_t conflicts = 0;
   int64_t restarts = 0;
-  /// Optimistic B-link read events (validation retries + lock-bit spins +
-  /// move-rights + root restarts) accumulated by opt_latch-mode hammers —
-  /// the health signal that the version-latch protocol actually engaged
-  /// (~0 means readers never raced a writer).
+  /// B-link read events (move-rights + root restarts) accumulated by
+  /// blink_probes-mode hammers — the health signal that readers actually
+  /// raced the writer's splits (~0 means they never did).
   int64_t blink_read_events = 0;
   std::vector<ScheduleFailure> failures;
 
@@ -181,14 +180,14 @@ class ScheduleExplorer {
   Status RunWire(uint64_t seed, rel::Database& db, size_t max_node_keys,
                  const kv::StoreDump& serial_dump);
 
-  /// Optimistic-latch hammer of one schedule: seed-derived reader threads
-  /// run scans / lookups / counts through one shared BlinkTree on a scratch
-  /// store while writer threads insert through the tree and MultiWrite
-  /// batches land row noise beside it; ends with the structural +
-  /// latch audits and an exact entry count. Accumulates the tree's read
-  /// events into `report` (null ok).
-  Status RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
-                           ScheduleReport* report);
+  /// B-link hammer of one schedule: seed-derived reader threads run scans /
+  /// lookups / counts through one shared BlinkTree on a scratch store while
+  /// one writer thread inserts across the key range and MultiWrite batches
+  /// land row noise beside it; ends with the structural audit and an exact
+  /// entry count. Accumulates the tree's read events into `report` (null
+  /// ok).
+  Status RunBlinkHammer(uint64_t seed, size_t max_node_keys,
+                        ScheduleReport* report);
 
   const ScheduleExplorerOptions options_;
 };

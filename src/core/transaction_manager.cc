@@ -228,9 +228,10 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   }
   // No conflict explains an execution failure, so it is either a transient
   // condition (retry by restarting) or a real one. Unavailable = transient
-  // store error; Aborted = an optimistic index traversal hit a torn or
-  // still-in-flight structure (B-link version-latch protocol) — both resolve
-  // against the fresher snapshot a restart re-executes on.
+  // store error; Aborted = a B-link traversal gave up on the view it saw (a
+  // missing node, a view stitched from two tree shapes, or a parent level
+  // the view lacks; DESIGN.md §14) — both resolve against the fresher
+  // snapshot a restart re-executes on.
   if (!txn->execution_status.ok()) {
     if ((txn->execution_status.IsUnavailable() ||
          txn->execution_status.IsAborted()) &&

@@ -50,7 +50,7 @@ bool InMemoryKvNode::RollFailure() {
   return fail;
 }
 
-int64_t InMemoryKvNode::OccupySlot(int64_t micros) {
+void InMemoryKvNode::OccupySlot(int64_t micros) {
   int64_t waited = 0;
   if (options_.service_slots > 0) {
     const int64_t arrive = NowMicros();
@@ -71,25 +71,19 @@ int64_t InMemoryKvNode::OccupySlot(int64_t micros) {
   } else {
     SleepForMicros(micros);
   }
-  queue_wait_.Record(waited);
   if (h_queue_wait_ != nullptr) h_queue_wait_->Record(waited);
-  return waited;
 }
 
-int64_t InMemoryKvNode::MarginalMicros() const {
-  if (options_.batch_marginal_micros >= 0) {
-    return options_.batch_marginal_micros;
-  }
-  return options_.service_time_micros / 8;
+int64_t InMemoryKvNode::BatchMicros(size_t ops) const {
+  return options_.service_time_micros +
+         static_cast<int64_t>(ops - 1) * (options_.service_time_micros / 8);
 }
 
 Status InMemoryKvNode::SimulateService() {
   const int64_t start = NowMicros();
   if (RollFailure()) return Status::Unavailable("injected node failure");
   OccupySlot(options_.service_time_micros);
-  const int64_t elapsed = NowMicros() - start;
-  op_latency_.Record(elapsed);
-  if (h_op_latency_ != nullptr) h_op_latency_->Record(elapsed);
+  if (h_op_latency_ != nullptr) h_op_latency_->Record(NowMicros() - start);
   return Status::OK();
 }
 
@@ -144,10 +138,7 @@ Status InMemoryKvNode::MultiWrite(std::span<const KvWrite> batch,
   if (applied != nullptr) *applied = 0;
   if (batch.empty()) return Status::OK();
   const int64_t start = NowMicros();
-  const int64_t service = options_.service_time_micros +
-                          static_cast<int64_t>(batch.size() - 1) *
-                              MarginalMicros();
-  OccupySlot(service);
+  OccupySlot(BatchMicros(batch.size()));
   Status first_error = Status::OK();
   int64_t puts = 0;
   int64_t deletes = 0;
@@ -179,9 +170,7 @@ Status InMemoryKvNode::MultiWrite(std::span<const KvWrite> batch,
     }
     if (applied != nullptr) ++*applied;
   }
-  const int64_t elapsed = NowMicros() - start;
-  op_latency_.Record(elapsed);
-  if (h_op_latency_ != nullptr) h_op_latency_->Record(elapsed);
+  if (h_op_latency_ != nullptr) h_op_latency_->Record(NowMicros() - start);
   if (h_batch_size_ != nullptr) {
     h_batch_size_->Record(static_cast<int64_t>(batch.size()));
   }
@@ -200,10 +189,7 @@ std::vector<Result<Value>> InMemoryKvNode::MultiGet(
   results.reserve(keys.size());
   if (keys.empty()) return results;
   const int64_t start = NowMicros();
-  const int64_t service = options_.service_time_micros +
-                          static_cast<int64_t>(keys.size() - 1) *
-                              MarginalMicros();
-  OccupySlot(service);
+  OccupySlot(BatchMicros(keys.size()));
   int64_t gets = 0;
   int64_t misses = 0;
   for (const Key& key : keys) {
@@ -228,9 +214,7 @@ std::vector<Result<Value>> InMemoryKvNode::MultiGet(
       results.push_back(Status::NotFound("key \"" + key + "\" not present"));
     }
   }
-  const int64_t elapsed = NowMicros() - start;
-  op_latency_.Record(elapsed);
-  if (h_op_latency_ != nullptr) h_op_latency_->Record(elapsed);
+  if (h_op_latency_ != nullptr) h_op_latency_->Record(NowMicros() - start);
   if (h_batch_size_ != nullptr) {
     h_batch_size_->Record(static_cast<int64_t>(keys.size()));
   }

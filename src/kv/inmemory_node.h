@@ -29,13 +29,6 @@ struct KvNodeOptions {
   /// the paper's Fig. 17 cluster-size effect.
   int service_slots = 0;
 
-  /// Incremental service time, microseconds, for each op after the first in
-  /// a Multi* batch: a k-op batch occupies one service slot for
-  /// `service_time_micros + (k-1) * batch_marginal_micros` instead of k full
-  /// round trips. -1 derives the marginal cost as service_time_micros / 8
-  /// (the round trip dominates; the per-op server work is small).
-  int64_t batch_marginal_micros = -1;
-
   /// Probability in [0,1] that an operation fails with Unavailable before
   /// touching state. For failure-injection tests only.
   double failure_rate = 0.0;
@@ -68,7 +61,8 @@ class InMemoryKvNode : public KvStore {
   Status Delete(const Key& key) override;
 
   /// Batch write: one slot occupancy of `service_time_micros +
-  /// (k-1) * batch_marginal_micros`. Attempts every entry — an injected
+  /// (k-1) * service_time_micros / 8` (the round trip dominates; the per-op
+  /// server work is small). Attempts every entry — an injected
   /// transient failure skips just that entry (its key keeps its prior value)
   /// and the first error is returned; `applied` counts entries that took
   /// effect. The failure dice are rolled once per entry in batch order, so a
@@ -87,14 +81,6 @@ class InMemoryKvNode : public KvStore {
 
   /// Cumulative operation counters (snapshot).
   KvStoreStats stats() const;
-
-  /// Latency distribution of completed operations (includes queueing at the
-  /// service gate and the simulated service time).
-  const Histogram& op_latency() const { return op_latency_; }
-
-  /// Distribution of time spent queueing at the service gate alone (the
-  /// queue-wait share of op_latency; zero entries when slots never filled).
-  const Histogram& queue_wait() const { return queue_wait_; }
 
   const KvNodeOptions& options() const { return options_; }
 
@@ -123,13 +109,13 @@ class InMemoryKvNode : public KvStore {
   /// batch order, so batched and op-at-a-time replay share the RNG stream).
   bool RollFailure();
 
-  /// Occupies one service slot for `micros` of simulated time. Returns how
-  /// long the op queued at the gate waiting for a free slot (0 when slots
-  /// are unlimited or one was free immediately).
-  int64_t OccupySlot(int64_t micros);
+  /// Occupies one service slot for `micros` of simulated time and records
+  /// how long the op queued at the gate waiting for a free slot.
+  void OccupySlot(int64_t micros);
 
-  /// Effective per-extra-op marginal service cost (resolves the -1 default).
-  int64_t MarginalMicros() const;
+  /// Service time of a k-op batch: one round trip plus a marginal eighth of
+  /// one for each op after the first.
+  int64_t BatchMicros(size_t ops) const;
 
   Stripe& StripeFor(const Key& key);
 
@@ -151,10 +137,6 @@ class InMemoryKvNode : public KvStore {
   // Counters.
   mutable check::Mutex stats_mu_{"kv.stats"};
   KvStoreStats stats_ TXREP_GUARDED_BY(stats_mu_);
-  // analyze: lock-free(Histogram is internally synchronized)
-  Histogram op_latency_;
-  // analyze: lock-free(Histogram is internally synchronized)
-  Histogram queue_wait_;
 
   // Registry instruments (null when the node runs unobserved).
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)

@@ -181,13 +181,9 @@ inline constexpr char kRecovCatchupLag[] = "txrep_recov_catchup_lag";
 inline constexpr char kRecovGateRejects[] = "txrep_recov_gate_rejects_total";
 
 // --- B-link index (src/blink, DESIGN.md §14) --------------------------------
-/// Optimistic node reads that failed version validation and re-ran, labeled
-/// {index="TABLE.COLUMN"}.
-inline constexpr char kBlinkReadRetries[] = "txrep_blink_read_retries_total";
-/// Reads that hit an obsolete version word and restarted from the root,
-/// same labels.
-inline constexpr char kBlinkObsoleteHits[] =
-    "txrep_blink_obsolete_hits_total";
+/// Node reads that found no object in the store view (the traversal
+/// restarts from the root), labeled {index="TABLE.COLUMN"}.
+inline constexpr char kBlinkMissingNodes[] = "txrep_blink_missing_nodes_total";
 
 // --- open-loop load generator (src/workload/loadgen, DESIGN.md §15) ---------
 /// Scheduled arrivals the runner reached (shed or submitted).

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "blink/blink_tree.h"
-#include "check/invariants.h"
-#include "common/random.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
 #include "kv/kv_types.h"
@@ -15,56 +13,6 @@ namespace txrep::blink {
 namespace {
 
 using rel::Value;
-
-TEST(BlinkTreeConcurrentTest, ParallelDisjointInserts) {
-  kv::InMemoryKvNode store;
-  BlinkTree tree(&store, "T", "C", {.max_node_keys = 8});
-  TXREP_ASSERT_OK(tree.Init());
-
-  constexpr int kThreads = 4, kPerThread = 250;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const int64_t v = t * kPerThread + i;
-        if (!tree.Insert(Value::Int(v), "r" + std::to_string(v)).ok()) {
-          ++failures;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  TXREP_ASSERT_OK(tree.Validate());
-  EXPECT_EQ(*tree.EntryCount(), kThreads * kPerThread);
-  for (int v = 0; v < kThreads * kPerThread; ++v) {
-    ASSERT_TRUE(*tree.Contains(Value::Int(v), "r" + std::to_string(v)))
-        << "lost entry " << v;
-  }
-}
-
-TEST(BlinkTreeConcurrentTest, OverlappingValuesDistinctRowKeys) {
-  kv::InMemoryKvNode store;
-  BlinkTree tree(&store, "T", "C", {.max_node_keys = 6});
-  TXREP_ASSERT_OK(tree.Init());
-
-  constexpr int kThreads = 4, kPerThread = 200;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Heavy duplication on values: only 20 distinct values.
-        TXREP_ASSERT_OK(tree.Insert(
-            Value::Int(i % 20), "t" + std::to_string(t) + "_" +
-                                     std::to_string(i)));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  TXREP_ASSERT_OK(tree.Validate());
-  EXPECT_EQ(*tree.EntryCount(), kThreads * kPerThread);
-}
 
 TEST(BlinkTreeConcurrentTest, ReadersNeverBlockOrMisreadDuringInserts) {
   kv::InMemoryKvNode store;
@@ -108,89 +56,18 @@ TEST(BlinkTreeConcurrentTest, ReadersNeverBlockOrMisreadDuringInserts) {
   EXPECT_EQ(*tree.EntryCount(), 200u);
 }
 
-TEST(BlinkTreeConcurrentTest, DeepTreeCascadingSplitsUnderContention) {
-  // Minimal fanout + interleaved key ranges: splits cascade several levels
-  // while sibling propagations are in flight — the regression scenario for
-  // the key-ordered parent insertion (see InsertIntoParent).
-  kv::InMemoryKvNode store;
-  BlinkTree tree(&store, "T", "C", {.max_node_keys = 3});
-  TXREP_ASSERT_OK(tree.Init());
-  constexpr int kThreads = 6, kPerThread = 300;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Interleave: consecutive values belong to different threads, so
-        // every leaf is contended by all threads.
-        const int64_t v = i * kThreads + t;
-        if (!tree.Insert(Value::Int(v), "r").ok()) ++failures;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  TXREP_ASSERT_OK(tree.Validate());
-  EXPECT_EQ(*tree.EntryCount(), kThreads * kPerThread);
-  Result<std::vector<EntryKey>> all =
-      tree.RangeScanBounds(std::nullopt, std::nullopt);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), static_cast<size_t>(kThreads * kPerThread));
-  for (int v = 0; v < kThreads * kPerThread; ++v) {
-    ASSERT_EQ((*all)[v].value, Value::Int(v));
-  }
-}
-
-TEST(BlinkTreeConcurrentTest, MixedInsertRemoveHammer) {
-  kv::InMemoryKvNode store;
-  BlinkTree tree(&store, "T", "C", {.max_node_keys = 8});
-  TXREP_ASSERT_OK(tree.Init());
-  // Each thread owns a disjoint key space and inserts/removes randomly;
-  // final membership must match each thread's local bookkeeping.
-  constexpr int kThreads = 4, kOps = 600, kSpace = 100;
-  std::vector<std::set<int>> local(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Random rng(100 + t);
-      for (int i = 0; i < kOps; ++i) {
-        const int v = t * kSpace + static_cast<int>(rng.Uniform(kSpace));
-        const std::string rk = "r" + std::to_string(v);
-        if (local[t].contains(v)) {
-          TXREP_ASSERT_OK(tree.Remove(Value::Int(v), rk));
-          local[t].erase(v);
-        } else {
-          TXREP_ASSERT_OK(tree.Insert(Value::Int(v), rk));
-          local[t].insert(v);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  TXREP_ASSERT_OK(tree.Validate());
-  size_t expected = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    expected += local[t].size();
-    for (int v : local[t]) {
-      ASSERT_TRUE(*tree.Contains(Value::Int(v), "r" + std::to_string(v)));
-    }
-  }
-  EXPECT_EQ(*tree.EntryCount(), expected);
-}
-
 TEST(BlinkTreeConcurrentTest, ReadersVersusMultiWriteHammer) {
-  // The replica-side steady state: optimistic readers scanning the index
-  // while writers both mutate the tree and push row noise through the
+  // The replica-side steady state: lock-free readers scanning the index
+  // while the writer both mutates the tree and pushes row noise through the
   // batched apply path into the same store. Runs in rounds; after each
-  // round the quiesced tree must pass the structural *and* latch audits
-  // (a leaked lock bit or a wrongly-obsoleted node fails here).
+  // round the quiesced tree must pass the structural audit.
   kv::KvNodeOptions node_options;
   node_options.service_time_micros = 10;  // Forces reader/writer overlap.
   kv::InMemoryKvNode store(node_options);
   BlinkTree tree(&store, "T", "C", {.max_node_keys = 4});
   TXREP_ASSERT_OK(tree.Init());
 
-  constexpr int kReaders = 8, kWriters = 2, kRounds = 3, kPerRound = 30;
+  constexpr int kReaders = 8, kRounds = 3, kPerRound = 60;
   constexpr int kSeedEntries = 40;
   for (int i = 0; i < kSeedEntries; ++i) {
     TXREP_ASSERT_OK(tree.Insert(Value::Int(i * 1000), "seed"));
@@ -198,28 +75,25 @@ TEST(BlinkTreeConcurrentTest, ReadersVersusMultiWriteHammer) {
 
   int inserted = 0;
   for (int round = 0; round < kRounds; ++round) {
-    std::atomic<int> writers_live{kWriters};
+    std::atomic<bool> writer_live{true};
     std::atomic<int> reader_errors{0};
     std::vector<std::thread> threads;
-    for (int w = 0; w < kWriters; ++w) {
-      threads.emplace_back([&, w] {
-        for (int i = 0; i < kPerRound; ++i) {
-          const int64_t v =
-              (round * kWriters + w) * kPerRound + i + 1;  // Never *1000.
-          TXREP_ASSERT_OK(tree.Insert(Value::Int(v * 7 + 3), "r"));
-          if (i % 5 == 0) {
-            std::vector<kv::KvWrite> noise;
-            for (int n = 0; n < 4; ++n) {
-              noise.push_back(kv::KvWrite::Put(
-                  "row/" + std::to_string(w) + "/" + std::to_string(i + n),
-                  "payload"));
-            }
-            TXREP_ASSERT_OK(store.MultiWrite(noise));
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerRound; ++i) {
+        const int64_t v = round * kPerRound + i + 1;  // Never *1000.
+        TXREP_ASSERT_OK(tree.Insert(Value::Int(v * 7 + 3), "r"));
+        if (i % 5 == 0) {
+          std::vector<kv::KvWrite> noise;
+          for (int n = 0; n < 4; ++n) {
+            noise.push_back(kv::KvWrite::Put(
+                "row/" + std::to_string(round) + "/" + std::to_string(i + n),
+                "payload"));
           }
+          TXREP_ASSERT_OK(store.MultiWrite(noise));
         }
-        writers_live.fetch_sub(1);
-      });
-    }
+      }
+      writer_live = false;
+    });
     for (int r = 0; r < kReaders; ++r) {
       threads.emplace_back([&] {
         do {
@@ -240,23 +114,18 @@ TEST(BlinkTreeConcurrentTest, ReadersVersusMultiWriteHammer) {
             ++reader_errors;
             return;
           }
-        } while (writers_live.load() > 0);
+        } while (writer_live.load());
       });
     }
     for (auto& t : threads) t.join();
-    inserted += kWriters * kPerRound;
+    inserted += kPerRound;
     EXPECT_EQ(reader_errors.load(), 0) << "round " << round;
     TXREP_ASSERT_OK(tree.Validate());
-    TXREP_ASSERT_OK(check::CheckBlinkTreeInvariants(tree));
     EXPECT_EQ(*tree.EntryCount(),
               static_cast<size_t>(kSeedEntries + inserted));
   }
-  const BlinkTreeStats stats = tree.stats();
-  // Contention totals are timing-dependent, but the counters must at least
-  // be wired (a permanently-zero read path means validation never ran).
-  EXPECT_GE(stats.read_retries + stats.read_spins + stats.move_rights +
-                stats.read_restarts,
-            0);
+  // On a live store every node a reader follows already exists.
+  EXPECT_EQ(tree.stats().missing_nodes, 0);
 }
 
 TEST(BlinkTreeConcurrentTest, EntryCountIsSandwichedDuringInserts) {
@@ -304,14 +173,14 @@ TEST(BlinkTreeConcurrentTest, EntryCountIsSandwichedDuringInserts) {
   done = true;
   counter.join();
   EXPECT_EQ(violations.load(), 0);
-  TXREP_ASSERT_OK(check::CheckBlinkTreeInvariants(tree));
+  TXREP_ASSERT_OK(tree.Validate());
   EXPECT_EQ(*tree.EntryCount(), static_cast<size_t>(kSeed + kInserts));
 }
 
 TEST(BlinkTreeConcurrentTest, ReadersSurviveRootChurnFromEmpty) {
   // Minimal fanout from an empty tree: the root id changes several times in
-  // quick succession while readers are mid-descent — the shrunk/regrown
-  // root scenario DescendToLevel must absorb without surfacing errors.
+  // quick succession while readers are mid-descent; a stale root is still a
+  // correct entry point, so no reader may surface an error.
   kv::InMemoryKvNode store;
   BlinkTree tree(&store, "T", "C", {.max_node_keys = 2});
   TXREP_ASSERT_OK(tree.Init());
@@ -337,7 +206,7 @@ TEST(BlinkTreeConcurrentTest, ReadersSurviveRootChurnFromEmpty) {
   stop = true;
   for (auto& t : readers) t.join();
   EXPECT_EQ(reader_errors.load(), 0);
-  TXREP_ASSERT_OK(check::CheckBlinkTreeInvariants(tree));
+  TXREP_ASSERT_OK(tree.Validate());
   EXPECT_EQ(*tree.EntryCount(), static_cast<size_t>(kInserts));
 }
 

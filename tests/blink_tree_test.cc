@@ -1,11 +1,9 @@
 #include "blink/blink_tree.h"
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "codec/kv_keys.h"
-#include "common/clock.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
@@ -15,9 +13,8 @@ namespace txrep::blink {
 
 /// Test-only window into BlinkTree's private traversal (declared friend).
 struct BlinkTreeTestPeer {
-  static Result<uint64_t> DescendToLevel(BlinkTree& tree, const EntryKey& key,
-                                         uint32_t target_level) {
-    return tree.DescendToLevel(key, target_level);
+  static Status Descend(BlinkTree& tree, const EntryKey& key, uint32_t level) {
+    return tree.Descend(key, level, nullptr).status();
   }
 };
 
@@ -217,9 +214,8 @@ TEST(BlinkTreeWedgedSnapshotTest, SplitAgainstMissingParentLevelAborts) {
   // A stale buffered snapshot caught mid-root-grow: the leaf level already
   // has two nodes but no parent level exists, and — reads being cached —
   // none can ever appear from this snapshot's point of view. A split that
-  // needs the parent must give up with Aborted naming the node (so the TM's
-  // restart machinery re-executes against fresher state), not hang in the
-  // parent-location retry loop.
+  // needs the parent must give up with Aborted naming the node at once (so
+  // the TM's restart machinery re-executes against fresher state).
   kv::InMemoryKvNode store;
   PlantMeta(store, "T", "C", BlinkMeta{.root_id = 1, .next_id = 4});
   BlinkNode left;
@@ -234,10 +230,7 @@ TEST(BlinkTreeWedgedSnapshotTest, SplitAgainstMissingParentLevelAborts) {
                    EntryKey{Value::Int(70), "r70"}};
   PlantNode(store, "T", "C", 2, right);
 
-  BlinkTreeOptions options;
-  options.max_node_keys = 3;
-  options.max_parent_retries = 4;  // Keep the bounded wait short.
-  BlinkTree tree(&store, "T", "C", options);
+  BlinkTree tree(&store, "T", "C", {.max_node_keys = 3});
 
   const Status status = tree.Insert(Value::Int(40), "r40");
   EXPECT_TRUE(status.IsAborted()) << status.ToString();
@@ -300,10 +293,7 @@ TEST(BlinkTreeStitchedSnapshotTest, ChildPointerBackUpTheTreeAborts) {
   stitched.children = {1, 1};
   PlantNode(store, "T", "C", 2, stitched);
 
-  BlinkTreeOptions options;
-  options.max_read_restarts = 4;
-  options.max_parent_retries = 4;  // Keep the bounded waits short.
-  BlinkTree tree(&store, "T", "C", options);
+  BlinkTree tree(&store, "T", "C", {.max_read_restarts = 4});
 
   const EntryKey key{Value::Int(10), "r10"};
   EXPECT_TRUE(tree.Contains(key.value, key.row_key).status().IsAborted());
@@ -315,31 +305,70 @@ TEST(BlinkTreeStitchedSnapshotTest, ChildPointerBackUpTheTreeAborts) {
                   .status()
                   .IsAborted());
   EXPECT_TRUE(tree.EntryCount().status().IsAborted());
-  EXPECT_TRUE(
-      BlinkTreeTestPeer::DescendToLevel(tree, key, 0).status().IsAborted());
+  EXPECT_TRUE(BlinkTreeTestPeer::Descend(tree, key, 0).IsAborted());
 }
 
-TEST(BlinkTreeRootGrowthTest, DescendToLevelWaitsForRootGrowth) {
-  // A writer needs the parent level of a node whose split outran the root's
-  // growth: DescendToLevel starts while the root is still a lone leaf and
-  // must absorb the wait internally (bounded) instead of erroring out —
-  // the pre-fix code returned Internal the moment it saw a too-shallow root.
-  kv::InMemoryKvNode store;
-  BlinkTree tree(&store, "T", "C", {.max_node_keys = 2});
-  TXREP_ASSERT_OK(tree.Init());
+/// Answers the first Get of `late_key` with NotFound and stores `late_value`
+/// under it during that same call: a right sibling whose write lands just
+/// after a reader follows the link to it.
+class LateNodeStore : public kv::KvStore {
+ public:
+  LateNodeStore(kv::InMemoryKvNode* base, std::string late_key,
+                std::string late_value)
+      : base_(base),
+        late_key_(std::move(late_key)),
+        late_value_(std::move(late_value)) {}
 
-  std::thread grower([&] {
-    SleepForMicros(2000);  // Guarantee the descent starts against a leaf root.
-    for (int i = 0; i <= 20; ++i) {
-      TXREP_ASSERT_OK(tree.Insert(Value::Int(i), "r"));
+  Status Put(const kv::Key& key, const kv::Value& value) override {
+    return base_->Put(key, value);
+  }
+  Result<kv::Value> Get(const kv::Key& key) override {
+    if (key == late_key_ && !landed_) {
+      landed_ = true;
+      Result<kv::Value> missing = base_->Get(key);
+      TXREP_EXPECT_OK(base_->Put(late_key_, late_value_));
+      return missing;
     }
-  });
-  Result<uint64_t> parent = BlinkTreeTestPeer::DescendToLevel(
-      tree, EntryKey{Value::Int(10), "r"}, 1);
-  grower.join();
-  TXREP_ASSERT_OK(parent.status());
-  TXREP_ASSERT_OK(tree.Validate());
-  EXPECT_EQ(*tree.EntryCount(), 21u);
+    return base_->Get(key);
+  }
+  Status Delete(const kv::Key& key) override { return base_->Delete(key); }
+  bool Contains(const kv::Key& key) override { return base_->Contains(key); }
+  size_t Size() override { return base_->Size(); }
+  kv::StoreDump Dump() override { return base_->Dump(); }
+
+ private:
+  kv::InMemoryKvNode* base_;
+  const std::string late_key_;
+  const std::string late_value_;
+  bool landed_ = false;
+};
+
+TEST(BlinkTreeLateSiblingTest, ScanRereadsASiblingThatLandsLate) {
+  // A scan reaches a fresh right sibling an instant before its write lands.
+  // The NotFound is transient on a live store: the scan must restart, read
+  // the store again and return every entry. A reader that treated the miss
+  // as permanent would spend all its restarts and fail with Aborted.
+  kv::InMemoryKvNode base;
+  PlantMeta(base, "T", "C", BlinkMeta{.root_id = 1, .next_id = 3});
+  BlinkNode left;
+  left.has_high_key = true;
+  left.high_key = EntryKey{Value::Int(10), "r10"};
+  left.right_id = 2;
+  left.entries = {EntryKey{Value::Int(10), "r10"}};
+  PlantNode(base, "T", "C", 1, left);
+  BlinkNode right;
+  right.entries = {EntryKey{Value::Int(20), "r20"}};
+  LateNodeStore store(&base, codec::BlinkNodeKey("T", "C", 2),
+                      EncodeBlinkNode(right));
+
+  BlinkTree tree(&store, "T", "C", {.max_node_keys = 4});
+  Result<std::vector<EntryKey>> all =
+      tree.RangeScanBounds(std::nullopt, std::nullopt);
+  TXREP_ASSERT_OK(all.status());
+  ASSERT_EQ(all->size(), 2u);
+  EXPECT_EQ((*all)[0].value, Value::Int(10));
+  EXPECT_EQ((*all)[1].value, Value::Int(20));
+  EXPECT_EQ(tree.stats().missing_nodes, 1);
 }
 
 }  // namespace

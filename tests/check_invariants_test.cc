@@ -83,7 +83,7 @@ TEST(BlinkInvariantsTest, HoldOnPopulatedTree) {
     TXREP_ASSERT_OK(
         tree.Insert(Value::Int(i), "row" + std::to_string(i)));
   }
-  TXREP_EXPECT_OK(CheckBlinkTreeInvariants(tree));
+  TXREP_EXPECT_OK(tree.Validate());
 }
 
 TEST(ReplicaEquivalenceTest, HoldsAfterSerialReplay) {

@@ -158,21 +158,21 @@ TEST(ScheduleExplorerTest, CrashRestartRequiresScratchDir) {
   EXPECT_TRUE(explorer.RunOne(1).IsInvalidArgument());
 }
 
-TEST(ScheduleExplorerTest, OptLatchSweepFindsNoDivergence) {
-  // Acceptance bar for the optimistic version-latch tentpole: with opt_latch
-  // mode on, (a) interleaved B-link index probes run full scans over their
-  // torn buffered views (byte-equivalence oracle unchanged — so optimistic
-  // reads may not perturb replay), and (b) each schedule's scratch-store
-  // hammer races readers against tree writers plus MultiWrite noise. The
-  // blink_read_events counter must be nonzero — the protocol engaging is
-  // part of the contract, not a nice-to-have.
+TEST(ScheduleExplorerTest, BlinkProbesSweepFindsNoDivergence) {
+  // With blink_probes mode on, (a) interleaved B-link index probes run full
+  // scans over their torn buffered views (byte-equivalence oracle unchanged
+  // — so lock-free reads may not perturb replay), and (b) each schedule's
+  // scratch-store hammer races readers against one tree writer plus
+  // MultiWrite noise. The blink_read_events counter must be nonzero — the
+  // readers repairing the writer's splits is part of the contract, not a
+  // nice-to-have.
   ScheduleExplorerOptions options;
   options.base_seed = 1;
   options.schedules = SeedsFromEnv(200);
   options.txns_per_schedule = 30;
   options.audit_every = 8;
   options.batched_apply = true;
-  options.opt_latch = true;
+  options.blink_probes = true;
 
   ScheduleExplorer explorer(options);
   ScheduleReport report = explorer.Run();
@@ -184,7 +184,7 @@ TEST(ScheduleExplorerTest, OptLatchSweepFindsNoDivergence) {
     details +=
         "\n  seed " + std::to_string(failure.seed) + ": " + failure.detail;
   }
-  EXPECT_TRUE(report.ok()) << "diverging opt-latch schedules:" << details;
+  EXPECT_TRUE(report.ok()) << "diverging blink-probe schedules:" << details;
   EXPECT_GT(report.conflicts + report.restarts, 0);
   EXPECT_GT(report.blink_read_events, 0);
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regression tests for scripts/lint.sh.
 
-The lint script is six grep rules; a refactor that silently breaks one of
+The lint script is five grep rules; a refactor that silently breaks one of
 the patterns would keep exiting 0 forever. These tests copy the *real*
 scripts/lint.sh into a scratch repo, seed one known-bad file per rule, and
 assert that each rule still fires (and that a clean tree still passes).
@@ -38,9 +38,6 @@ BAD_FILES = {
         "#include <sys/socket.h>\n"
         "int F() { return socket(AF_INET, SOCK_STREAM, 0); }\n",
         "socket syscalls"),
-    "src/qt/bad_version_peek.cc": (
-        "uint64_t F(txrep::blink::OptLatch& l) { return l.RawVersionWord(); }\n",
-        "raw version-word"),
 }
 
 # The per-op rule greps an explicit file list; a clean tree still provides
