@@ -1,10 +1,11 @@
-// Ablation B: Algorithm 2's CompletedTransactionList GC threshold. A tiny
-// threshold trims constantly (GC work + short lists to conflict-check); a
-// huge one never trims (long completed lists make every commit evaluation
-// scan more entries).
+// Ablation B: Algorithm 2's GC threshold — completions between passes that
+// trim the per-key completion stamps. A tiny threshold trims constantly (GC
+// work under the controller mutex); a huge one never trims (the stamp maps
+// grow with every key the replay touches, but each commit evaluation still
+// costs one lookup per key).
 //
-// Expected: throughput roughly flat across sane thresholds with a measurable
-// penalty at the extremes; gc_runs falls as the threshold grows.
+// Expected: throughput roughly flat across thresholds; gc_runs falls as the
+// threshold grows.
 
 #include <benchmark/benchmark.h>
 

@@ -28,6 +28,8 @@ void BM_Fig10_Throughput(benchmark::State& state) {
     state.SetIterationTime(result.seconds);
     state.counters["tx_per_s"] = result.tx_per_sec;
     state.counters["conflicts"] = static_cast<double>(result.conflicts);
+    state.counters["apply_orders"] =
+        static_cast<double>(result.stats.apply_orders);
     last = std::move(result);
   }
   WriteMetricsJson("fig10_txns" + std::to_string(txns) + "_threads" +

@@ -38,7 +38,9 @@ MODE="${1:-plain}"
 # Concurrency-heavy tests worth re-running under a sanitizer: the metrics
 # hot paths (sharded counters, gauges, histograms), the TM pools that hammer
 # them, the transaction buffer whose restart prefetch and value release the
-# TM drives from its pools, the middleware threads that stamp stage
+# TM drives from its pools, the ticket applier, whose pool now applies blind
+# row writes concurrently, the query translator those writes come from, the
+# middleware threads that stamp stage
 # latencies, the correctness-tooling suites themselves, the crash-recovery
 # suites (checkpoint writer + restart + online bootstrap + disk-node torn
 # tails),
@@ -54,7 +56,7 @@ MODE="${1:-plain}"
 # TPC-C-lite workload suites (multi-table concurrent-vs-serial equivalence
 # replay, the seed-sweep explorer's tpcc mode, and the open-loop load
 # generator driving a live TM — DESIGN.md §15).
-SANITIZER_TESTS='obs_|core_tm_|core_txn_buffer_|mw_|common_histogram|common_thread_pool|common_blocking_queue|txrep_system|check_|recov_|kv_disk_|kv_batch_|trace_|net_|blink_|workload_'
+SANITIZER_TESTS='obs_|core_tm_|core_txn_buffer_|core_ticket_applier_|qt_|mw_|common_histogram|common_thread_pool|common_blocking_queue|txrep_system|check_|recov_|kv_disk_|kv_batch_|trace_|net_|blink_|workload_'
 
 # Flavor results for the final summary: "name<TAB>PASS|SKIP (reason)".
 RESULTS=()

@@ -40,12 +40,7 @@ BlinkTree::BlinkTree(kv::KvStore* store, std::string table, std::string column,
       table_(std::move(table)),
       column_(std::move(column)),
       options_(options),
-      meta_key_(codec::BlinkMetaKey(table_, column_)) {
-  if (options_.metrics != nullptr) {
-    c_missing_nodes_ = options_.metrics->GetCounter(
-        obs::kBlinkMissingNodes, {{"index", table_ + "." + column_}});
-  }
-}
+      meta_key_(codec::BlinkMetaKey(table_, column_)) {}
 
 std::string BlinkTree::NodeKey(uint64_t id) const {
   return codec::BlinkNodeKey(table_, column_, id);
@@ -56,7 +51,14 @@ Result<BlinkNode> BlinkTree::ReadNode(uint64_t id) {
   if (!bytes.ok()) {
     if (!bytes.status().IsNotFound()) return bytes.status();
     missing_nodes_.fetch_add(1, std::memory_order_relaxed);
-    if (c_missing_nodes_ != nullptr) c_missing_nodes_->Increment();
+    if (options_.metrics != nullptr) {
+      // Looked up here, not in the constructor: nearly every tree is a
+      // per-statement local that never misses a node.
+      options_.metrics
+          ->GetCounter(obs::kBlinkMissingNodes,
+                       {{"index", table_ + "." + column_}})
+          ->Increment();
+    }
     return Status::Aborted("blink: node " + std::to_string(id) +
                            " missing from the store view");
   }

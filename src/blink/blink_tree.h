@@ -28,8 +28,10 @@ struct BlinkTreeOptions {
   int max_read_restarts = 64;
 
   /// Optional registry (must outlive the tree) receiving the missing-node
-  /// counter, labeled {index="TABLE.COLUMN"}. The stats() snapshot works
-  /// with or without it.
+  /// counter, labeled {index="TABLE.COLUMN"}. The tree looks the counter up
+  /// at each missing node, so a tree that meets none (almost every
+  /// per-statement tree) neither takes the registry mutex nor adds a series.
+  /// The stats() snapshot works with or without it.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -190,10 +192,6 @@ class BlinkTree {
   std::atomic<int64_t> read_restarts_{0};
   // analyze: lock-free(monotonic relaxed counters; stats() is a snapshot)
   std::atomic<int64_t> move_rights_{0};
-
-  // Registry instrument (null when the tree runs unobserved).
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  obs::Counter* c_missing_nodes_ = nullptr;
 };
 
 }  // namespace txrep::blink

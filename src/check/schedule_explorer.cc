@@ -427,16 +427,21 @@ Status ScheduleExplorer::RunOneInternal(uint64_t seed,
     }
   }
 
+  // Deep audit against the primary (structure + logical content, not just
+  // bytes): sampled, except under TPC-C, where every replica is checked. The
+  // serial reference replays through the same translator, so only this
+  // check can catch a translator bug (say, a blind write that skipped an
+  // index).
+  const bool sampled_audit = report != nullptr && options_.audit_every > 0 &&
+                             report->schedules_run % options_.audit_every == 0;
+  if (options_.tpcc || sampled_audit) {
+    TXREP_RETURN_IF_ERROR(
+        CheckReplicaEquivalence(*concurrent_store, db, translator));
+  }
   if (report != nullptr) {
     report->transactions_replayed += stats.completed;
     report->conflicts += stats.conflicts;
     report->restarts += stats.restarts;
-    // Sampled deep audit (structure + logical content, not just bytes).
-    const int index = report->schedules_run;
-    if (options_.audit_every > 0 && index % options_.audit_every == 0) {
-      TXREP_RETURN_IF_ERROR(
-          CheckReplicaEquivalence(*concurrent_store, db, translator));
-    }
   }
 
   if (options_.crash_restart) {
@@ -782,6 +787,9 @@ Status ScheduleExplorer::RunCrashRestart(uint64_t seed, rel::Database& db,
   if (!diff.empty()) {
     return Status::FailedPrecondition(
         "crash-restart replica diverged from serial replay: " + diff);
+  }
+  if (options_.tpcc) {
+    TXREP_RETURN_IF_ERROR(CheckReplicaEquivalence(recovered, db, translator));
   }
   return recov::RemoveDirRecursive(dir);
 }

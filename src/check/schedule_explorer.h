@@ -105,6 +105,9 @@ struct ScheduleExplorerOptions {
   /// multi-table write sets into the explored state space; interleaved
   /// read-only probes target CUSTOMER rows and blink_probes index probes move
   /// to the churning STOCK.S_QUANTITY index.
+  /// Every TPC-C schedule's final replica (and, with crash_restart, its
+  /// recovered replica) is also audited against the primary database, not
+  /// only against serial replay: audit_every does not thin it out.
   /// Composes with crash_restart, batched_apply, traced and wire.
   bool tpcc = false;
 };

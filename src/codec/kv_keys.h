@@ -34,6 +34,24 @@ std::string BlinkNodeKey(std::string_view table, std::string_view column,
 /// Key of a B-link tree's metadata object (root pointer, id counter).
 std::string BlinkMetaKey(std::string_view table, std::string_view column);
 
+/// The kind of object a key names in the layout above.
+enum class KeyClass : uint8_t {
+  kRow = 0,
+  kHashIndex = 1,
+  kBlinkNode = 2,
+  kBlinkMeta = 3,
+};
+inline constexpr int kKeyClassCount = 4;
+
+/// Classifies a key built by the functions above: the reserved prefixes name
+/// the B-link objects, and otherwise the number of '_' separators tells a
+/// row key (one) from a hash-index key (two). Escaping keeps '_' out of
+/// identifiers and values, so this holds for any table, column or value.
+KeyClass ClassifyKey(std::string_view key);
+
+/// "row", "hash", "blink_node" or "blink_meta" (a metric label value).
+const char* KeyClassName(KeyClass key_class);
+
 }  // namespace txrep::codec
 
 #endif  // TXREP_CODEC_KV_KEYS_H_

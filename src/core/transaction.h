@@ -66,9 +66,9 @@ class Transaction {
 
   // analyze: lock-free(owned by one pipeline stage at a time; queue handoff orders access)
   TxnState state = TxnState::kActive;
-  /// Logical stamp at (re-)execution start. Atomic because the executing
-  /// thread stamps it lock-free while the GC pass reads it under the
-  /// controller mutex.
+  /// Logical stamp at (re-)execution start. Drawn under the controller mutex
+  /// (so an Algorithm 2 pass never misses a stamp already drawn); atomic so
+  /// that a read outside it stays well-defined.
   std::atomic<uint64_t> start_time{0};
   // analyze: lock-free(written at commit eval, read downstream; staged handoff orders access)
   uint64_t commit_time = 0;    // Logical stamp at commit.
@@ -82,6 +82,14 @@ class Transaction {
   /// (Algorithm 1 line 11 / 25).
   // analyze: lock-free(guarded by the manager's commit-eval serialization, not a member mutex)
   std::vector<std::shared_ptr<Transaction>> restart_list;
+  /// Committed successors whose only overlap with this transaction is
+  /// write/write: each applies after this one completes (DESIGN.md §3).
+  // analyze: lock-free(guarded by the manager's commit-eval serialization, not a member mutex)
+  std::vector<std::shared_ptr<Transaction>> apply_waiters;
+  /// Apply predecessors (committed transactions this one is an apply waiter
+  /// of) that have not completed yet; the apply starts when it reaches 0.
+  // analyze: lock-free(guarded by the manager's commit-eval serialization, not a member mutex)
+  int pending_apply_preds = 0;
   // analyze: lock-free(guarded by the manager's commit-eval serialization, not a member mutex)
   int restart_count = 0;
 

@@ -2,6 +2,8 @@
 
 
 #include <cstdlib>
+#include <limits>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,38 @@
 #include "obs/names.h"
 
 namespace txrep::core {
+namespace {
+
+using KeySet = std::unordered_set<std::string>;
+
+constexpr int kConflictEvent = 0;
+constexpr int kApplyOrderEvent = 1;
+
+bool Intersects(const KeySet& x, const KeySet& y) {
+  const KeySet& small = x.size() <= y.size() ? x : y;
+  const KeySet& large = x.size() <= y.size() ? y : x;
+  for (const std::string& key : small) {
+    if (large.contains(key)) return true;
+  }
+  return false;
+}
+
+unsigned ClassBit(const std::string& key) {
+  return 1u << static_cast<unsigned>(codec::ClassifyKey(key));
+}
+
+/// The key classes of the keys in both sets, one bit per codec::KeyClass.
+unsigned SharedClasses(const KeySet& x, const KeySet& y) {
+  const KeySet& small = x.size() <= y.size() ? x : y;
+  const KeySet& large = x.size() <= y.size() ? y : x;
+  unsigned classes = 0;
+  for (const std::string& key : small) {
+    if (large.contains(key)) classes |= ClassBit(key);
+  }
+  return classes;
+}
+
+}  // namespace
 
 TransactionManager::TransactionManager(kv::KvStore* store,
                                        const qt::QueryTranslator* translator,
@@ -46,6 +80,16 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
   c_gc_runs_ = metrics->GetCounter(obs::kTmGcRuns);
   c_gc_removed_ = metrics->GetCounter(obs::kTmGcRemoved);
   c_conflict_checks_ = metrics->GetCounter(obs::kTmConflictChecks);
+  c_apply_orders_ = metrics->GetCounter(obs::kTmApplyOrders);
+  for (int kind : {kConflictEvent, kApplyOrderEvent}) {
+    for (int c = 0; c < codec::kKeyClassCount; ++c) {
+      c_conflict_keys_[kind][c] = metrics->GetCounter(
+          obs::kTmConflictKeys,
+          {{"class", codec::KeyClassName(static_cast<codec::KeyClass>(c))},
+           {"kind", kind == kConflictEvent ? obs::kTmEventConflict
+                                           : obs::kTmEventApplyOrder}});
+    }
+  }
   h_execute_ = metrics->GetHistogram(obs::kTmExecuteLatency);
   h_txn_restarts_ = metrics->GetHistogram(obs::kTmTxnRestarts);
   g_pq_depth_ =
@@ -124,11 +168,13 @@ void TransactionManager::ExecuteTask(const TxnPtr& txn) {
       txn->Finish(health_);
       return;
     }
+    // Stamp the start strictly before the first read (Algorithm 1 relies on
+    // start/complete ordering to decide which completed writers might have
+    // been missed), and under mu_: an Algorithm 2 pass then either sees this
+    // stamp or ran before it was drawn, when every stamp it could drop was
+    // older than this start.
+    txn->start_time = clock_.Tick();
   }
-  // Stamp the start strictly before the first read (Algorithm 1 relies on
-  // start/complete ordering to decide which completed writers might have
-  // been missed).
-  txn->start_time = clock_.Tick();
   const int64_t exec_start = NowMicros();
   auto buffer = std::make_unique<TxnBuffer>(store_);
   // A restart re-reads what its previous execution read in one round trip.
@@ -172,24 +218,45 @@ void TransactionManager::ControllerLoop() {
   }
 }
 
-bool TransactionManager::Conflicts(const Transaction& a, const Transaction& b) {
-  const auto& a_reads = a.buffer->read_set();
-  const auto& a_writes = a.buffer->write_set();
-  const auto& b_reads = b.buffer->read_set();
-  const auto& b_writes = b.buffer->write_set();
+TransactionManager::Overlap TransactionManager::Conflicts(
+    const Transaction& a, const Transaction& b) {
+  const KeySet& a_reads = a.buffer->read_set();
+  const KeySet& a_writes = a.buffer->write_set();
+  const KeySet& b_reads = b.buffer->read_set();
+  const KeySet& b_writes = b.buffer->write_set();
+  // R/W and W/R conflict (paper §5). W/W alone only orders the two applies.
+  if (Intersects(a_reads, b_writes) || Intersects(a_writes, b_reads)) {
+    return Overlap::kConflict;
+  }
+  return Intersects(a_writes, b_writes) ? Overlap::kWriteWrite : Overlap::kNone;
+}
 
-  auto intersects = [](const std::unordered_set<std::string>& x,
-                       const std::unordered_set<std::string>& y) {
-    const auto& small = x.size() <= y.size() ? x : y;
-    const auto& large = x.size() <= y.size() ? y : x;
-    for (const std::string& key : small) {
-      if (large.contains(key)) return true;
-    }
-    return false;
+unsigned TransactionManager::StaleClassesLocked(const Transaction& txn) const {
+  const uint64_t start = txn.start_time;
+  unsigned classes = 0;
+  auto stale = [start](const std::unordered_map<std::string, uint64_t>& stamps,
+                       const std::string& key) {
+    auto it = stamps.find(key);
+    return it != stamps.end() && it->second > start;
   };
-  // R/W, W/R and W/W conflicts (paper §5).
-  return intersects(a_reads, b_writes) || intersects(a_writes, b_writes) ||
-         intersects(a_writes, b_reads);
+  for (const std::string& key : txn.buffer->read_set()) {
+    if (stale(last_write_complete_, key)) classes |= ClassBit(key);
+  }
+  for (const std::string& key : txn.buffer->write_set()) {
+    if (stale(last_read_complete_, key)) classes |= ClassBit(key);
+  }
+  return classes;
+}
+
+void TransactionManager::CountKeyClasses(int kind, unsigned classes) {
+  for (int c = 0; c < codec::kKeyClassCount; ++c) {
+    if ((classes >> c) & 1u) c_conflict_keys_[kind][c]->Increment();
+  }
+}
+
+void TransactionManager::SubmitApplyLocked(const TxnPtr& txn) {
+  bottom_pool_->Submit([this, txn] { ApplyTask(txn); });
+  g_bottom_backlog_->Set(static_cast<int64_t>(bottom_pool_->QueueDepth()));
 }
 
 void TransactionManager::RestartLocked(const TxnPtr& txn) {
@@ -204,27 +271,36 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   // Lines 9-14: conflicts with committed (not yet applied) predecessors.
   // Their writes are invisible, so this transaction may have read stale
   // data; park it until the first conflicting predecessor completes. The
-  // expected sequence stays put — the controller stalls, as in the paper.
+  // expected sequence stays put — the controller stalls, as in the paper. A
+  // predecessor that only writes what this transaction writes is no reason
+  // to re-execute: it becomes an apply predecessor instead.
+  std::vector<TxnPtr> apply_after;
   for (auto& [seq, tj] : committed_) {
     c_conflict_checks_->Increment();
-    if (Conflicts(*txn, *tj)) {
+    const Overlap overlap = Conflicts(*txn, *tj);
+    if (overlap == Overlap::kConflict) {
       c_conflicts_->Increment();
+      CountKeyClasses(kConflictEvent,
+                      SharedClasses(txn->buffer->read_set(),
+                                    tj->buffer->write_set()) |
+                          SharedClasses(txn->buffer->write_set(),
+                                        tj->buffer->read_set()));
       c_restarts_->Increment();
       ++txn->restart_count;
       tj->restart_list.push_back(txn);
       return;
     }
+    if (overlap == Overlap::kWriteWrite) apply_after.push_back(tj);
   }
   // Lines 15-22: conflicts with completed predecessors that completed after
-  // this transaction started (concurrent ones). Restart immediately.
-  for (auto& [seq, tj] : completed_) {
-    if (txn->start_time >= tj->complete_time) continue;
-    c_conflict_checks_->Increment();
-    if (Conflicts(*txn, *tj)) {
-      c_conflicts_->Increment();
-      RestartLocked(txn);
-      return;
-    }
+  // this transaction started (concurrent ones), read off the per-key
+  // completion stamps. Restart immediately.
+  c_conflict_checks_->Increment();
+  if (const unsigned stale = StaleClassesLocked(*txn); stale != 0) {
+    c_conflicts_->Increment();
+    CountKeyClasses(kConflictEvent, stale);
+    RestartLocked(txn);
+    return;
   }
   // No conflict explains an execution failure, so it is either a transient
   // condition (retry by restarting) or a real one. Unavailable = transient
@@ -274,8 +350,16 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
                     txn->submit_micros, txn->commit_wall_micros,
                     txn->commit_wall_micros - txn->enqueue_micros);
   }
-  bottom_pool_->Submit([this, txn] { ApplyTask(txn); });
-  g_bottom_backlog_->Set(static_cast<int64_t>(bottom_pool_->QueueDepth()));
+  // The apply waits for every W/W predecessor, so each key's writes reach
+  // the store in commit order (DESIGN.md §3).
+  for (const TxnPtr& tj : apply_after) {
+    tj->apply_waiters.push_back(txn);
+    CountKeyClasses(kApplyOrderEvent, SharedClasses(txn->buffer->write_set(),
+                                                    tj->buffer->write_set()));
+  }
+  c_apply_orders_->Increment(static_cast<int64_t>(apply_after.size()));
+  txn->pending_apply_preds = static_cast<int>(apply_after.size());
+  if (txn->pending_apply_preds == 0) SubmitApplyLocked(txn);
 }
 
 void TransactionManager::ApplyTask(const TxnPtr& txn) {
@@ -326,8 +410,14 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
     txn->complete_time = clock_.Tick();
     txn->state = TxnState::kCompleted;
     committed_.erase(txn->seq());
-    completed_[txn->seq()] = txn;
     active_.erase(txn->seq());
+    // Stamps only grow: completions tick the clock under mu_.
+    for (const std::string& key : txn->buffer->write_set()) {
+      last_write_complete_[key] = txn->complete_time;
+    }
+    for (const std::string& key : txn->buffer->read_set()) {
+      last_read_complete_[key] = txn->complete_time;
+    }
     // Bottom-pool completions land out of order, so track the max; it equals
     // the applied-prefix end whenever active_ is empty (idle / quiesced).
     if (txn->lsn > last_applied_lsn_) last_applied_lsn_ = txn->lsn;
@@ -339,18 +429,22 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
       parked->state = TxnState::kActive;
       top_pool_->SubmitUrgent([this, parked] { ExecuteTask(parked); });
     }
-    if (completed_.size() > options_.completed_gc_threshold && !gc_scheduled_) {
+    for (const TxnPtr& waiter : txn->apply_waiters) {
+      if (--waiter->pending_apply_preds == 0) SubmitApplyLocked(waiter);
+    }
+    std::vector<TxnPtr>().swap(txn->apply_waiters);
+    if (++completions_since_gc_ > options_.completed_gc_threshold &&
+        !gc_scheduled_) {
       gc_scheduled_ = true;
+      completions_since_gc_ = 0;
       run_gc = true;
     }
     DebugCheckInvariantsLocked();
     cv_.NotifyAll();
   }
   txn->Finish(Status::OK());
-  // From here on Algorithm 1 and 2 need only the key sets, but the completed
-  // list keeps this buffer until GC: free its values, after Finish so waiters
-  // do not pay for it. Concurrent conflict checks read only the key sets,
-  // which this leaves untouched.
+  // The TM is done with the buffer, but a caller may hold the handle: free
+  // its values and keep the key sets, after Finish so waiters do not pay.
   txn->buffer->ReleaseValues();
   if (run_gc) {
     gc_pool_->Submit([this] { GcTask(); });
@@ -358,31 +452,27 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
 }
 
 void TransactionManager::GcTask() {
-  // Algorithm 2: remove every completed transaction no active transaction
-  // could still conflict-test against (no active T_j started before its
-  // completion).
+  // Algorithm 2 over stamps: a stamp no started ACTIVE transaction began
+  // before is never compared again (a later start is later than the stamp;
+  // a committed transaction is not evaluated again).
   check::MutexLock lock(&mu_);
   c_gc_runs_->Increment();
-  for (auto it = completed_.begin(); it != completed_.end();) {
-    bool needed = false;
-    for (const auto& [seq, active] : active_) {
-      // start_time == 0 means "not yet started". Such a transaction will be
-      // stamped from the monotonic clock *after* this entry's completion
-      // stamp, so its line-16 test `start < complete` can never hold against
-      // this entry — it does not need it.
-      const uint64_t start = active->start_time;
-      if (start != 0 && start < it->second->complete_time) {
-        needed = true;
-        break;
-      }
-    }
-    if (needed) {
-      ++it;
-    } else {
-      it = completed_.erase(it);
-      c_gc_removed_->Increment();
+  uint64_t oldest_start = std::numeric_limits<uint64_t>::max();
+  for (const auto& [seq, txn] : active_) {
+    // start_time == 0: not started yet; its stamp will be later than every
+    // stamp that exists now (it is drawn under mu_).
+    const uint64_t start = txn->start_time;
+    if (txn->state == TxnState::kActive && start != 0 &&
+        start < oldest_start) {
+      oldest_start = start;
     }
   }
+  auto unneeded = [oldest_start](const auto& entry) {
+    return entry.second <= oldest_start;
+  };
+  const size_t removed = std::erase_if(last_write_complete_, unneeded) +
+                         std::erase_if(last_read_complete_, unneeded);
+  c_gc_removed_->Increment(static_cast<int64_t>(removed));
   gc_scheduled_ = false;
 }
 
@@ -455,12 +545,13 @@ TmStats TransactionManager::stats() const {
   stats.gc_runs = c_gc_runs_->Value();
   stats.gc_removed = c_gc_removed_->Value();
   stats.conflict_checks = c_conflict_checks_->Value();
+  stats.apply_orders = c_apply_orders_->Value();
   return stats;
 }
 
-size_t TransactionManager::CompletedListSize() const {
+size_t TransactionManager::CompletedKeyCount() const {
   check::MutexLock lock(&mu_);
-  return completed_.size();
+  return last_write_complete_.size() + last_read_complete_.size();
 }
 
 Status TransactionManager::CheckInvariants() const {
@@ -507,11 +598,11 @@ Status TransactionManager::CheckInvariantsLocked() const {
     }
   }
   // Algorithm 1 commits strictly in sequence order, so commit stamps must be
-  // monotone in seq across everything that passed evaluation — this is the
+  // monotone in seq across everything committed and not yet applied — the
   // in-flight shadow of the execution-defined-order guarantee.
   uint64_t prev_commit = 0;
   uint64_t prev_seq = 0;
-  auto check_commit_order = [&](uint64_t seq, const TxnPtr& txn) {
+  for (const auto& [seq, txn] : committed_) {
     if (txn->commit_time <= prev_commit) {
       return violation("commit stamps out of order: txn " +
                        std::to_string(seq) + " committed at " +
@@ -521,32 +612,29 @@ Status TransactionManager::CheckInvariantsLocked() const {
     }
     prev_commit = txn->commit_time;
     prev_seq = seq;
-    return Status::OK();
-  };
-  for (const auto& [seq, txn] : completed_) {
-    if (txn->state != TxnState::kCompleted) {
-      return violation("completed-set txn " + std::to_string(seq) +
-                       " in state " + TxnStateName(txn->state));
-    }
-    if (txn->complete_time <= txn->commit_time) {
-      return violation("completed txn " + std::to_string(seq) +
-                       " completed before committing");
-    }
-    if (active_.find(seq) != active_.end()) {
-      return violation("completed txn " + std::to_string(seq) +
-                       " still tracked as active");
-    }
-    Status order = check_commit_order(seq, txn);
-    if (!order.ok()) return order;
   }
-  // completed_ and committed_ are disjoint seq ranges? Not necessarily
-  // contiguous (GC trims the middle), but commit order must continue to hold
-  // across the boundary: every committed (unapplied) txn committed after
-  // every completed one still on the list with a smaller seq.
+  // Apply ordering: each waiter is a later committed transaction, and a
+  // committed transaction waits on exactly as many predecessors as list it.
+  std::map<uint64_t, int> listed;
   for (const auto& [seq, txn] : committed_) {
-    if (seq > prev_seq) {
-      Status order = check_commit_order(seq, txn);
-      if (!order.ok()) return order;
+    for (const TxnPtr& waiter : txn->apply_waiters) {
+      if (waiter->seq() <= seq || !committed_.contains(waiter->seq())) {
+        return violation("txn " + std::to_string(seq) +
+                         " lists apply waiter " +
+                         std::to_string(waiter->seq()) +
+                         " that is not a later committed txn");
+      }
+      ++listed[waiter->seq()];
+    }
+  }
+  for (const auto& [seq, txn] : committed_) {
+    const auto it = listed.find(seq);
+    const int waiting_on = it == listed.end() ? 0 : it->second;
+    if (waiting_on != txn->pending_apply_preds) {
+      return violation("committed txn " + std::to_string(seq) + " has " +
+                       std::to_string(txn->pending_apply_preds) +
+                       " pending apply predecessors but is listed by " +
+                       std::to_string(waiting_on));
     }
   }
   return Status::OK();

@@ -1,15 +1,19 @@
 #ifndef TXREP_CORE_TRANSACTION_MANAGER_H_
 #define TXREP_CORE_TRANSACTION_MANAGER_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <queue>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "check/mutex.h"
+#include "codec/kv_keys.h"
 #include "common/logical_clock.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -32,8 +36,8 @@ struct TmOptions {
   /// threadpool"). Paper default: 20.
   int bottom_threads = 20;
 
-  /// CompletedTransactionList size that triggers the asynchronous removal
-  /// pass (Algorithm 2's threshold).
+  /// Completions since the last pass that trigger Algorithm 2's asynchronous
+  /// trimming of the per-key completion stamps.
   size_t completed_gc_threshold = 256;
 
   /// Transient store failures during apply are retried this many times.
@@ -57,15 +61,20 @@ struct TmStats {
   int64_t completed = 0;
   /// Conflict events detected by Algorithm 1 == transaction restarts
   /// scheduled because of a conflict (the paper reports these as one number).
+  /// An R/W or W/R overlap is a conflict; a W/W-only overlap is not.
   int64_t conflicts = 0;
   /// All restarts (conflicts + transient execution errors).
   int64_t restarts = 0;
+  /// W/W-only overlaps with a committed predecessor, one per (transaction,
+  /// predecessor) pair: the transaction committed and applied after it.
+  int64_t apply_orders = 0;
   int64_t apply_retries = 0;
+  /// Algorithm 2 passes, and the completion stamps they dropped.
   int64_t gc_runs = 0;
   int64_t gc_removed = 0;
-  /// Pairwise key-set intersections Algorithm 1 evaluated: one per
-  /// committed predecessor scanned, one per completed predecessor that
-  /// completed after this transaction started.
+  /// Conflict tests Algorithm 1 made: one per committed predecessor whose
+  /// key sets were intersected, plus one per probe of the completion-stamp
+  /// index (one per evaluation that got past the committed predecessors).
   int64_t conflict_checks = 0;
   /// Always 0. Kept only because the benchmark harness still reads it to
   /// derive its `core.filter_pass_ratio` per-layer metric; it goes with
@@ -85,22 +94,28 @@ struct TmStats {
 ///   finished transaction enters the CommitReqPQ. A dedicated *controller
 ///   thread* evaluates transactions strictly in sequence order
 ///   (Algorithm 1):
-///     - conflict with a COMMITTED predecessor  -> park on its restart list
-///       (the controller stalls: the expected sequence does not advance);
-///     - conflict with a COMPLETED predecessor that completed after this
-///       transaction started -> restart immediately;
+///     - conflict (R/W or W/R) with a COMMITTED predecessor -> park on its
+///       restart list (the controller stalls: the expected sequence does not
+///       advance);
+///     - a key read after this transaction started was written by a
+///       transaction that completed since, or a key it writes was read by
+///       one -> restart immediately (a lookup in the per-key completion
+///       stamps);
 ///     - otherwise commit: advance the expected sequence and hand the buffer
 ///       to the *bottom pool*, which applies its write set to the store as
 ///       one MultiWrite (TxnBuffer::ApplyTo), marks the transaction
-///       COMPLETED and restarts everything parked on it.
-///   An asynchronous pass (Algorithm 2) trims the completed list once it
-///   exceeds `completed_gc_threshold`.
+///       COMPLETED, stamps its keys and restarts everything parked on it. A
+///       committed predecessor whose overlap is W/W only does not park the
+///       transaction; it becomes an apply predecessor, and the apply waits
+///       for it to complete.
+///   An asynchronous pass (Algorithm 2) trims the completion stamps every
+///   `completed_gc_threshold` completions.
 ///
-/// Conflict predicate (paper §5): two transactions conflict iff their
-/// read/write key sets intersect as R/W, W/R or W/W — key sets include every
-/// row object, hash-index object and B-link node the Query Translator
-/// touched, so index maintenance conflicts are detected exactly like row
-/// conflicts.
+/// Conflict predicate: the paper's R/W and W/R key-set intersections; key
+/// sets include every row object, hash-index object and B-link node the
+/// Query Translator touched, so index maintenance conflicts are detected
+/// exactly like row conflicts. A W/W-only overlap orders the apply instead
+/// of restarting (DESIGN.md §3 states the invariant and why it holds).
 ///
 /// Thread-safe. Destruction waits for in-flight transactions.
 class TransactionManager {
@@ -158,13 +173,17 @@ class TransactionManager {
   TmStats stats() const;
   const TmOptions& options() const { return options_; }
 
-  /// Current size of the completed list (for GC tests/benches).
-  size_t CompletedListSize() const;
+  /// Completion stamps held for Algorithm 1's completed-writer and
+  /// completed-reader tests (a key both read and written counts twice); for
+  /// GC tests and benches.
+  size_t CompletedKeyCount() const;
 
   /// Audits the Algorithm 1 bookkeeping invariants (DESIGN.md §8): state/set
-  /// agreement (committed ⊆ active, completed ∩ active = ∅), sequence bounds
-  /// against expected_seq_, and commit-stamp monotonicity in sequence order —
-  /// the in-flight face of the execution-defined-order guarantee. Returns the
+  /// agreement (committed ⊆ active), sequence bounds against expected_seq_,
+  /// commit-stamp monotonicity in sequence order — the in-flight face of the
+  /// execution-defined-order guarantee — and apply-predecessor bookkeeping (a
+  /// committed transaction with n pending predecessors is an apply waiter of
+  /// exactly n committed transactions of lower sequence). Returns the
   /// first violation found. TXREP_DEBUG_CHECKS builds run this automatically
   /// at every commit evaluation / completion and abort on violation.
   Status CheckInvariants() const;
@@ -194,8 +213,25 @@ class TransactionManager {
   /// Evaluates the head transaction.
   void EvaluateLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
 
-  /// True iff the two transactions' key sets conflict (R/W, W/R or W/W).
-  static bool Conflicts(const Transaction& a, const Transaction& b);
+  /// How transaction `a`'s key sets overlap an earlier transaction `b`'s.
+  enum class Overlap { kNone, kWriteWrite, kConflict };
+
+  /// kConflict on an R/W or W/R intersection, else kWriteWrite on a W/W one.
+  static Overlap Conflicts(const Transaction& a, const Transaction& b);
+
+  /// Algorithm 1 lines 15-22 as lookups: the key classes (bit i =
+  /// codec::KeyClass i) of the keys `txn` read that carry a write stamp later
+  /// than its start and of the keys it writes that carry a later read stamp.
+  /// 0 iff no completed transaction conflicts with it.
+  unsigned StaleClassesLocked(const Transaction& txn) const
+      TXREP_REQUIRES(mu_);
+
+  /// Counts one `kind` event (0 = conflict, 1 = apply order) for each key
+  /// class set in `classes`.
+  void CountKeyClasses(int kind, unsigned classes);
+
+  /// Submits `txn`'s apply to the bottom pool.
+  void SubmitApplyLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
 
   /// Schedules a fresh execution of `txn`.
   void RestartLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
@@ -212,7 +248,7 @@ class TransactionManager {
   /// restarts its parked dependents.
   void ApplyTask(const TxnPtr& txn);
 
-  /// Algorithm 2: asynchronous removal from the completed list.
+  /// Algorithm 2: asynchronous trimming of the completion stamps.
   void GcTask();
 
   /// Marks the TM failed and wakes everyone.
@@ -257,6 +293,12 @@ class TransactionManager {
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_conflict_checks_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
+  obs::Counter* c_apply_orders_ = nullptr;
+  /// [kind][codec::KeyClass]: kind 0 = conflict, 1 = apply order.
+  using ClassCounters = std::array<obs::Counter*, codec::kKeyClassCount>;
+  // analyze: lock-free(registry-owned metrics; set once in ctor, internally synchronized)
+  std::array<ClassCounters, 2> c_conflict_keys_{};
+  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_execute_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_txn_restarts_ = nullptr;
@@ -284,10 +326,16 @@ class TransactionManager {
   uint64_t expected_seq_ TXREP_GUARDED_BY(mu_) = 1;
   /// COMMITTED, not yet applied.
   std::map<uint64_t, TxnPtr> committed_ TXREP_GUARDED_BY(mu_);
-  /// COMPLETED (until GC).
-  std::map<uint64_t, TxnPtr> completed_ TXREP_GUARDED_BY(mu_);
+  /// Per key, the latest complete_time of a completed transaction that wrote
+  /// (read) it; trimmed by Algorithm 2.
+  std::unordered_map<std::string, uint64_t> last_write_complete_
+      TXREP_GUARDED_BY(mu_);
+  std::unordered_map<std::string, uint64_t> last_read_complete_
+      TXREP_GUARDED_BY(mu_);
   /// Submitted, not yet completed.
   std::map<uint64_t, TxnPtr> active_ TXREP_GUARDED_BY(mu_);
+  /// Completions since the last Algorithm 2 pass was scheduled.
+  size_t completions_since_gc_ TXREP_GUARDED_BY(mu_) = 0;
   bool gc_scheduled_ TXREP_GUARDED_BY(mu_) = false;
   bool stopping_ TXREP_GUARDED_BY(mu_) = false;
   /// A quiescent barrier is draining: Submit* parks until it clears.

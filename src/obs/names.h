@@ -91,6 +91,15 @@ inline constexpr char kTmApplyRetries[] = "txrep_tm_apply_retries_total";
 inline constexpr char kTmGcRuns[] = "txrep_tm_gc_runs_total";
 inline constexpr char kTmGcRemoved[] = "txrep_tm_gc_removed_total";
 inline constexpr char kTmConflictChecks[] = "txrep_tm_conflict_checks_total";
+/// Write/write-only overlaps with a committed predecessor that ordered a
+/// transaction's apply after it (neither a conflict nor a restart).
+inline constexpr char kTmApplyOrders[] = "txrep_tm_apply_orders_total";
+/// Key classes behind conflicts and apply orderings, labeled
+/// {class=codec::KeyClassName(...), kind=kTmEventConflict|kTmEventApplyOrder};
+/// each event counts each class of its deciding keys once.
+inline constexpr char kTmConflictKeys[] = "txrep_tm_conflict_keys_total";
+inline constexpr char kTmEventConflict[] = "conflict";
+inline constexpr char kTmEventApplyOrder[] = "apply_order";
 /// Restarts per completed transaction (histogram, unitless).
 inline constexpr char kTmTxnRestarts[] = "txrep_tm_txn_restarts";
 /// One (re-)execution of a transaction body into its buffer (µs). Not a hop:

@@ -6,6 +6,16 @@
 #include "codec/row_codec.h"
 
 namespace txrep::qt {
+namespace {
+
+/// True when no secondary index needs a row's old value: the op's
+/// after-image (or the row key, for a delete) is all the write needs.
+bool WritesBlind(const rel::TableSchema& schema) {
+  return schema.hash_index_columns().empty() &&
+         schema.range_index_columns().empty();
+}
+
+}  // namespace
 
 QueryTranslator::QueryTranslator(const rel::Catalog* catalog,
                                  blink::BlinkTreeOptions blink_options)
@@ -91,6 +101,9 @@ Status QueryTranslator::ApplyUpdate(kv::KvStore* store,
                                     const rel::TableSchema& schema,
                                     const rel::LogOp& op) const {
   const std::string row_key = codec::RowKey(op.table, op.pk);
+  if (WritesBlind(schema)) {
+    return store->Put(row_key, codec::EncodeRow(op.after));
+  }
   // The old row must be read to maintain the secondary indexes. If the row is
   // not there yet, a predecessor transaction has not been applied: surface
   // the error — under the TM this read conflicts with that predecessor and
@@ -132,6 +145,8 @@ Status QueryTranslator::ApplyDelete(kv::KvStore* store,
                                     const rel::TableSchema& schema,
                                     const rel::LogOp& op) const {
   const std::string row_key = codec::RowKey(op.table, op.pk);
+  // Deleting an absent key is a no-op, so a blind delete needs no read.
+  if (WritesBlind(schema)) return store->Delete(row_key);
   TXREP_ASSIGN_OR_RETURN(kv::Value old_bytes, store->Get(row_key));
   TXREP_ASSIGN_OR_RETURN(rel::Row old_row, codec::DecodeRow(old_bytes));
 

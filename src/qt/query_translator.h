@@ -19,12 +19,16 @@ namespace txrep::qt {
 ///   - one KV object per hash-index key  (HashIndexKey,  paper Fig. 7)
 ///   - one KV object per B-link node     (range indexes, paper §4.2)
 ///
-/// Translation is *executed*, not merely emitted: index maintenance must read
-/// current replica state (e.g. the old row of an UPDATE), so each logged op
-/// becomes a program of GET/PUT/DELETE against a KvStore. When that store is
-/// a transaction buffer (core/TxnBuffer), the reads/writes become the
+/// Translation is *executed*, not merely emitted: on an indexed table, index
+/// maintenance must read current replica state (the old row of an UPDATE or
+/// DELETE, posting lists, B-link nodes), so each logged op becomes a program
+/// of GET/PUT/DELETE against a KvStore. On a table with no hash and no range
+/// index, UPDATE and DELETE write blind: the log's after-image (or the row
+/// key's deletion) is the whole op, with no GET. When the store is a
+/// transaction buffer (core/TxnBuffer), the reads/writes become the
 /// transaction's read/write sets and all conflicts fall out of the TM's
-/// concurrency control — exactly the paper's design.
+/// concurrency control; a blind write joins only the write set, so it orders
+/// the apply instead of forcing a re-execution (DESIGN.md §3).
 ///
 /// Stateless and therefore trivially thread-safe; the catalog must outlive it.
 class QueryTranslator {

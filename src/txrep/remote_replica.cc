@@ -38,8 +38,9 @@ Status RemoteReplica::Start() {
   cluster_ = std::make_unique<kv::KvCluster>(options_.cluster, &registry_);
   TXREP_RETURN_IF_ERROR(cluster_->init_status());
 
-  translator_ =
-      std::make_unique<qt::QueryTranslator>(&catalog_, options_.blink);
+  blink::BlinkTreeOptions blink = options_.blink;
+  if (blink.metrics == nullptr) blink.metrics = &registry_;
+  translator_ = std::make_unique<qt::QueryTranslator>(&catalog_, blink);
   if (options_.subscription.resume_after_lsn == 0) {
     // Fresh replica: plant the empty B-link roots before any transaction
     // touches them. A resuming replica already has them (from its

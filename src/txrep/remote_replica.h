@@ -31,7 +31,8 @@ struct RemoteReplicaOptions {
   /// Wire subscription knobs (topic, resume LSN, credits, reconnect).
   net::NetSubscriptionOptions subscription;
 
-  /// The replica's own key-value cluster and range-index trees.
+  /// The replica's own key-value cluster and range-index trees. A null
+  /// `blink.metrics` means the replica's own registry.
   kv::KvClusterOptions cluster;
   blink::BlinkTreeOptions blink;
 };

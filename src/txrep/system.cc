@@ -45,9 +45,10 @@ Status TxRepSystem::Start() {
     return Status::FailedPrecondition("TxRepSystem already started");
   }
   TXREP_RETURN_IF_ERROR(cluster_->init_status());
-  translator_ = std::make_unique<qt::QueryTranslator>(&db_.catalog(),
-                                                      options_.blink);
-  reader_ = std::make_unique<qt::ReplicaReader>(&db_.catalog(), options_.blink,
+  blink::BlinkTreeOptions blink = options_.blink;
+  if (blink.metrics == nullptr) blink.metrics = &registry_;
+  translator_ = std::make_unique<qt::QueryTranslator>(&db_.catalog(), blink);
+  reader_ = std::make_unique<qt::ReplicaReader>(&db_.catalog(), blink,
                                                 &registry_);
 
   bool resumed = false;

@@ -64,7 +64,8 @@ struct TxRepOptions {
   /// Publisher agent (topic, batch size).
   mw::PublisherOptions publisher;
 
-  /// B-link tree fanout for the replica's range indexes.
+  /// B-link tree fanout for the replica's range indexes. A null
+  /// `blink.metrics` means the system's own registry.
   blink::BlinkTreeOptions blink;
 
   /// true: the paper's concurrent TM applies transactions.

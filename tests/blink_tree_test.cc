@@ -7,6 +7,8 @@
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "test_util.h"
 
 namespace txrep::blink {
@@ -369,6 +371,43 @@ TEST(BlinkTreeLateSiblingTest, ScanRereadsASiblingThatLandsLate) {
   EXPECT_EQ((*all)[0].value, Value::Int(10));
   EXPECT_EQ((*all)[1].value, Value::Int(20));
   EXPECT_EQ(tree.stats().missing_nodes, 1);
+}
+
+TEST(BlinkTreeMetricsTest, MissingNodeCounterExportsOnlyOnceNeeded) {
+  // The counter is looked up on the first missing node: a tree that reads
+  // none adds no series, and one missing node exports 1.
+  obs::MetricsRegistry registry;
+  auto series_count = [&registry] {
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    return std::count_if(snapshot.counters.begin(), snapshot.counters.end(),
+                         [](const obs::MetricPoint& point) {
+                           return point.name == obs::kBlinkMissingNodes;
+                         });
+  };
+  kv::InMemoryKvNode base;
+  PlantMeta(base, "T", "C", BlinkMeta{.root_id = 1, .next_id = 3});
+  BlinkNode left;
+  left.has_high_key = true;
+  left.high_key = EntryKey{Value::Int(10), "r10"};
+  left.right_id = 2;
+  left.entries = {EntryKey{Value::Int(10), "r10"}};
+  PlantNode(base, "T", "C", 1, left);
+  {
+    BlinkTree tree(&base, "T", "C",
+                   {.max_node_keys = 4, .metrics = &registry});
+    TXREP_ASSERT_OK(tree.Contains(Value::Int(10), "r10").status());
+    EXPECT_EQ(series_count(), 0);
+  }
+  BlinkNode right;
+  right.entries = {EntryKey{Value::Int(20), "r20"}};
+  LateNodeStore store(&base, codec::BlinkNodeKey("T", "C", 2),
+                      EncodeBlinkNode(right));
+  BlinkTree tree(&store, "T", "C", {.max_node_keys = 4, .metrics = &registry});
+  TXREP_ASSERT_OK(tree.RangeScanBounds(std::nullopt, std::nullopt).status());
+  ASSERT_EQ(series_count(), 1);
+  EXPECT_EQ(
+      registry.GetCounter(obs::kBlinkMissingNodes, {{"index", "T.C"}})->Value(),
+      1);
 }
 
 }  // namespace

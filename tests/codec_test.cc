@@ -129,6 +129,26 @@ TEST(KvKeysTest, BlinkKeysUseReservedPrefix) {
   EXPECT_EQ(BlinkMetaKey("ITEM", "I_COST"), "!bmeta_ITEM_I%5FCOST");
 }
 
+TEST(KvKeysTest, ClassifyKeyHandlesUnderscoredIdentifiers) {
+  // Every identifier and value below contains '_' (or '!'); escaping keeps
+  // the separators countable.
+  EXPECT_EQ(ClassifyKey(RowKey("ORDER_LINE", Value::Int(7))), KeyClass::kRow);
+  EXPECT_EQ(ClassifyKey(RowKey("T", Value::Str("A_1_!b"))), KeyClass::kRow);
+  EXPECT_EQ(ClassifyKey(RowKey("!bmeta_X", Value::Int(-3))), KeyClass::kRow);
+  EXPECT_EQ(ClassifyKey(HashIndexKey("NEW_ORDER", "NO_D_KEY", Value::Int(1))),
+            KeyClass::kHashIndex);
+  EXPECT_EQ(ClassifyKey(HashIndexKey("T", "A", Value::Str("x_y"))),
+            KeyClass::kHashIndex);
+  EXPECT_EQ(ClassifyKey(HashIndexKey("T", "C", Value::Real(1.5e300))),
+            KeyClass::kHashIndex);
+  EXPECT_EQ(ClassifyKey(BlinkNodeKey("STOCK", "S_QUANTITY", 12)),
+            KeyClass::kBlinkNode);
+  EXPECT_EQ(ClassifyKey(BlinkMetaKey("STOCK", "S_QUANTITY")),
+            KeyClass::kBlinkMeta);
+  EXPECT_STREQ(KeyClassName(KeyClass::kHashIndex), "hash");
+  EXPECT_STREQ(KeyClassName(KeyClass::kRow), "row");
+}
+
 TEST(RowCodecTest, RoundTrip) {
   rel::Row row = {Value::Int(1), Value::Str("x"), Value::Null(),
                   Value::Real(2.5)};

@@ -29,6 +29,14 @@ class TicketApplierTest : public ::testing::Test {
       ASSERT_TRUE(schema.ok());
       TXREP_ASSERT_OK(catalog_.AddTable(*schema));
     }
+    // A hash index on V: an update must read the old row to move its
+    // posting, so an update of a missing row fails.
+    Result<rel::TableSchema> indexed = rel::TableSchema::Create(
+        "I", {{"ID", rel::ValueType::kInt64}, {"V", rel::ValueType::kInt64}},
+        "ID");
+    ASSERT_TRUE(indexed.ok());
+    TXREP_ASSERT_OK(indexed->AddHashIndex("V"));
+    TXREP_ASSERT_OK(catalog_.AddTable(*indexed));
     translator_ = std::make_unique<qt::QueryTranslator>(&catalog_);
   }
 
@@ -157,7 +165,7 @@ TEST_F(TicketApplierTest, EquivalentToSerialOnRandomMultiTableLoad) {
 TEST_F(TicketApplierTest, FailurePropagatesViaWaitIdle) {
   kv::InMemoryKvNode store;
   TicketApplier applier(&store, translator_.get(), {});
-  applier.Submit(Update("T1", 42, 1));  // Row never existed.
+  applier.Submit(Update("I", 42, 1));  // Row never existed.
   EXPECT_FALSE(applier.WaitIdle().ok());
 }
 

@@ -57,7 +57,7 @@ TEST_F(GcTest, CompletedListBoundedByGc) {
   TmStats stats = tm.stats();
   EXPECT_GT(stats.gc_runs, 0);
   EXPECT_GT(stats.gc_removed, 0);
-  EXPECT_LT(tm.CompletedListSize(), 600u);
+  EXPECT_LT(tm.CompletedKeyCount(), 600u);
 }
 
 TEST_F(GcTest, NoGcBelowThreshold) {
@@ -68,7 +68,7 @@ TEST_F(GcTest, NoGcBelowThreshold) {
   for (int i = 1; i <= 100; ++i) tm.SubmitUpdate(Insert(i));
   TXREP_ASSERT_OK(tm.WaitIdle());
   EXPECT_EQ(tm.stats().gc_runs, 0);
-  EXPECT_EQ(tm.CompletedListSize(), 100u);
+  EXPECT_EQ(tm.CompletedKeyCount(), 100u);
 }
 
 TEST_F(GcTest, AggressiveGcPreservesCorrectness) {

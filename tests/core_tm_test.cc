@@ -13,6 +13,8 @@
 #include "core/serial_applier.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "test_util.h"
 
 namespace txrep::core {
@@ -32,6 +34,17 @@ class TmTest : public ::testing::Test {
       ASSERT_TRUE(schema.ok());
       TXREP_ASSERT_OK(catalog_.AddTable(*schema));
     }
+    // H has a hash index on V, so its updates read the old row (to move the
+    // posting) and conflict R/W with an unapplied writer of that row; T and
+    // U have no index, so their updates write blind.
+    Result<rel::TableSchema> indexed =
+        rel::TableSchema::Create("H",
+                                 {{"ID", rel::ValueType::kInt64},
+                                  {"V", rel::ValueType::kInt64}},
+                                 "ID");
+    ASSERT_TRUE(indexed.ok());
+    TXREP_ASSERT_OK(indexed->AddHashIndex("V"));
+    TXREP_ASSERT_OK(catalog_.AddTable(*indexed));
     translator_ = std::make_unique<qt::QueryTranslator>(&catalog_);
   }
 
@@ -43,15 +56,17 @@ class TmTest : public ::testing::Test {
                                  {Value::Int(id), Value::Int(v)}});
     return txn;
   }
-  rel::LogTransaction UpdateTxn(int64_t id, int64_t v) {
+  rel::LogTransaction UpdateTxn(int64_t id, int64_t v,
+                                const char* table = "T") {
     rel::LogTransaction txn;
-    txn.ops.push_back(rel::LogOp{rel::LogOpType::kUpdate, "T", Value::Int(id),
+    txn.ops.push_back(rel::LogOp{rel::LogOpType::kUpdate, table,
+                                 Value::Int(id),
                                  {Value::Int(id), Value::Int(v)}});
     return txn;
   }
 
-  int64_t ReadV(kv::KvStore& store, int64_t id) {
-    Result<kv::Value> bytes = store.Get(codec::RowKey("T", Value::Int(id)));
+  int64_t ReadV(kv::KvStore& store, int64_t id, const char* table = "T") {
+    Result<kv::Value> bytes = store.Get(codec::RowKey(table, Value::Int(id)));
     if (!bytes.ok()) return -1;
     return (*codec::DecodeRow(*bytes))[1].AsInt();
   }
@@ -163,7 +178,8 @@ class HoldFirstApplyStore : public kv::KvStore {
 TEST_F(TmTest, EveryCommittedPredecessorCostsOneConflictCheck) {
   // The second transaction is evaluated while the first is COMMITTED but not
   // yet applied. Their tables differ, so the exact key-set check runs once
-  // and finds no conflict.
+  // and finds no conflict. Each evaluation also probes the completion-stamp
+  // index once: 2 probes + 1 pair check.
   HoldFirstApplyStore store;
   TransactionManager tm(&store, translator_.get(), {});
   auto first = tm.SubmitUpdate(InsertTxn(1, 10, "T"));
@@ -173,15 +189,16 @@ TEST_F(TmTest, EveryCommittedPredecessorCostsOneConflictCheck) {
   const TmStats stats = tm.stats();
   store.Release();  // Before any assertion: the TM's teardown drains.
   TXREP_ASSERT_OK(second_status);
-  EXPECT_EQ(stats.conflict_checks, 1);
+  EXPECT_EQ(stats.conflict_checks, 3);
   EXPECT_EQ(stats.conflicts, 0);
   TXREP_ASSERT_OK(first->Wait());
   EXPECT_EQ(ReadV(store, 1), 10);
 }
 
 TEST_F(TmTest, RestartPrefetchesPreviousReadSetInOneMultiGet) {
-  // The update reads row 1 while its inserting predecessor is COMMITTED but
-  // held in apply, so Algorithm 1 parks it. When the insert completes, the
+  // The update reads row H_1 (its index needs the old value) while its
+  // inserting predecessor is COMMITTED but held in apply, so Algorithm 1
+  // parks it. When the insert completes, the
   // re-execution fetches everything the first execution read in one
   // MultiGet and issues no Get for any of those keys.
   kv::KvNodeOptions node_options;
@@ -193,10 +210,10 @@ TEST_F(TmTest, RestartPrefetchesPreviousReadSetInOneMultiGet) {
   int multigets_before = 0;
   {
     TransactionManager tm(&store, translator_.get(), {});
-    insert = tm.SubmitUpdate(InsertTxn(1, 10));
+    insert = tm.SubmitUpdate(InsertTxn(1, 10, "H"));
     store.AwaitHeld();
     (void)store.TakeGets();  // The insert's own reads.
-    update = tm.SubmitUpdate(UpdateTxn(1, 11));
+    update = tm.SubmitUpdate(UpdateTxn(1, 11, "H"));
     while (tm.stats().conflicts < 1) SleepForMicros(100);  // Parked.
     previous_reads = store.TakeGets();
     multigets_before = store.multigets();
@@ -219,9 +236,110 @@ TEST_F(TmTest, RestartPrefetchesPreviousReadSetInOneMultiGet) {
 
   kv::InMemoryKvNode serial_store;
   SerialApplier serial(&serial_store, translator_.get());
-  TXREP_ASSERT_OK(serial.Apply(InsertTxn(1, 10)));
-  TXREP_ASSERT_OK(serial.Apply(UpdateTxn(1, 11)));
+  TXREP_ASSERT_OK(serial.Apply(InsertTxn(1, 10, "H")));
+  TXREP_ASSERT_OK(serial.Apply(UpdateTxn(1, 11, "H")));
   testing::ExpectDumpsEqual(store, serial_store);
+}
+
+TEST_F(TmTest, WriteWriteSuccessorCommitsWhileItsPredecessorApplies) {
+  // The blind update of row T_1 only writes what the held insert writes.
+  // It commits at once, never re-executes, and its apply waits for the
+  // insert's: the final row is the update's.
+  HoldFirstApplyStore store;
+  std::shared_ptr<Transaction> insert;
+  std::shared_ptr<Transaction> update;
+  TmStats while_held;
+  {
+    TransactionManager tm(&store, translator_.get(), {});
+    insert = tm.SubmitUpdate(InsertTxn(1, 10));
+    store.AwaitHeld();
+    update = tm.SubmitUpdate(UpdateTxn(1, 11));
+    while (tm.stats().committed < 2) SleepForMicros(100);
+    while_held = tm.stats();
+    store.Release();
+    TXREP_ASSERT_OK(update->Wait());
+    TXREP_ASSERT_OK(insert->Wait());
+    EXPECT_EQ(tm.stats().apply_orders, 1);
+  }
+  EXPECT_EQ(while_held.completed, 0);
+  EXPECT_EQ(while_held.conflicts, 0);
+  EXPECT_EQ(update->restarts(), 0);
+  EXPECT_TRUE(update->buffer->read_set().empty());
+  EXPECT_EQ(ReadV(store, 1), 11);
+}
+
+TEST_F(TmTest, BlindUpdateChainExecutesEachTransactionOnce) {
+  // Every update of row T_1 writes blind, so a chain of them only orders
+  // applies: no transaction executes twice, and the replica equals serial
+  // replay.
+  kv::KvNodeOptions node_options;
+  node_options.service_time_micros = 200;  // Applies overlap evaluations.
+  kv::InMemoryKvNode store(node_options);
+  TmOptions options;
+  options.top_threads = 8;
+  options.bottom_threads = 8;
+  std::vector<std::shared_ptr<Transaction>> handles;
+  TmStats stats;
+  {
+    TransactionManager tm(&store, translator_.get(), options);
+    handles.push_back(tm.SubmitUpdate(InsertTxn(1, 0)));
+    for (int v = 1; v <= 50; ++v) handles.push_back(tm.SubmitUpdate(UpdateTxn(1, v)));
+    TXREP_ASSERT_OK(tm.WaitIdle());
+    stats = tm.stats();
+  }
+  for (const auto& handle : handles) EXPECT_EQ(handle->restarts(), 0);
+  EXPECT_EQ(stats.submitted, 51);
+  EXPECT_EQ(stats.restarts, 0);
+  EXPECT_EQ(stats.conflicts, 0);
+  EXPECT_EQ(ReadV(store, 1), 50);
+
+  kv::InMemoryKvNode serial_store;
+  SerialApplier serial(&serial_store, translator_.get());
+  TXREP_ASSERT_OK(serial.Apply(InsertTxn(1, 0)));
+  for (int v = 1; v <= 50; ++v) TXREP_ASSERT_OK(serial.Apply(UpdateTxn(1, v)));
+  testing::ExpectDumpsEqual(store, serial_store);
+}
+
+TEST_F(TmTest, ConflictKeysAreCountedByClass) {
+  auto count = [](obs::MetricsRegistry& registry, const char* key_class,
+                  const char* kind) {
+    return registry
+        .GetCounter(obs::kTmConflictKeys, {{"class", key_class}, {"kind", kind}})
+        ->Value();
+  };
+  {
+    // Two inserts of V = 10 into H: the second reads the posting list the
+    // held first one writes, an R/W conflict on a hash-index key only.
+    obs::MetricsRegistry registry;
+    HoldFirstApplyStore store;
+    TransactionManager tm(&store, translator_.get(), {}, &registry);
+    auto first = tm.SubmitUpdate(InsertTxn(1, 10, "H"));
+    store.AwaitHeld();
+    auto second = tm.SubmitUpdate(InsertTxn(2, 10, "H"));
+    while (tm.stats().conflicts < 1) SleepForMicros(100);
+    store.Release();
+    TXREP_ASSERT_OK(second->Wait());
+    TXREP_ASSERT_OK(first->Wait());
+    EXPECT_EQ(count(registry, "hash", obs::kTmEventConflict), 1);
+    EXPECT_EQ(count(registry, "row", obs::kTmEventConflict), 0);
+    EXPECT_EQ(count(registry, "hash", obs::kTmEventApplyOrder), 0);
+  }
+  {
+    // A blind update behind the held insert of the same row: a W/W overlap
+    // on a row key, counted as an apply order.
+    obs::MetricsRegistry registry;
+    HoldFirstApplyStore store;
+    TransactionManager tm(&store, translator_.get(), {}, &registry);
+    auto insert = tm.SubmitUpdate(InsertTxn(1, 10));
+    store.AwaitHeld();
+    auto update = tm.SubmitUpdate(UpdateTxn(1, 11));
+    while (tm.stats().committed < 2) SleepForMicros(100);
+    store.Release();
+    TXREP_ASSERT_OK(update->Wait());
+    TXREP_ASSERT_OK(insert->Wait());
+    EXPECT_EQ(count(registry, "row", obs::kTmEventApplyOrder), 1);
+    EXPECT_EQ(count(registry, "row", obs::kTmEventConflict), 0);
+  }
 }
 
 TEST_F(TmTest, ManyIndependentTransactions) {
@@ -247,7 +365,7 @@ TEST_F(TmTest, WriteWriteChainKeepsOrder) {
   TransactionManager tm(&store, translator_.get(), {});
   tm.SubmitUpdate(InsertTxn(1, 0));
   for (int v = 1; v <= 50; ++v) {
-    tm.SubmitUpdate(UpdateTxn(1, v));  // All conflict on row T_1.
+    tm.SubmitUpdate(UpdateTxn(1, v));  // All write row T_1.
   }
   TXREP_ASSERT_OK(tm.WaitIdle());
   EXPECT_EQ(ReadV(store, 1), 50);  // Last sequence wins — order respected.
@@ -261,15 +379,15 @@ TEST_F(TmTest, ConflictsAreCountedOnHotKeys) {
   options.top_threads = 8;
   options.bottom_threads = 8;
   TransactionManager tm(&store, translator_.get(), options);
-  tm.SubmitUpdate(InsertTxn(1, 0));
+  tm.SubmitUpdate(InsertTxn(1, 0, "H"));
   for (int v = 1; v <= 30; ++v) {
-    tm.SubmitUpdate(UpdateTxn(1, v));
+    tm.SubmitUpdate(UpdateTxn(1, v, "H"));
   }
   TXREP_ASSERT_OK(tm.WaitIdle());
   TmStats stats = tm.stats();
   EXPECT_GT(stats.conflicts, 0);
   EXPECT_EQ(stats.restarts, stats.conflicts);  // No transient errors here.
-  EXPECT_EQ(ReadV(store, 1), 30);
+  EXPECT_EQ(ReadV(store, 1, "H"), 30);
 }
 
 TEST_F(TmTest, ReadOnlyTransactionSeesSequencePointState) {
@@ -307,8 +425,9 @@ TEST_F(TmTest, ReadOnlyNeverBlocksPipeline) {
 TEST_F(TmTest, CorruptReplayFailsTheManager) {
   kv::InMemoryKvNode store;
   TransactionManager tm(&store, translator_.get(), {});
-  // Update of a row that never existed: unexplained by any conflict.
-  auto handle = tm.SubmitUpdate(UpdateTxn(42, 1));
+  // Update of an indexed row that never existed: its old-row read fails,
+  // unexplained by any conflict.
+  auto handle = tm.SubmitUpdate(UpdateTxn(42, 1, "H"));
   Status s = handle->Wait();
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(tm.health().ok());
@@ -342,12 +461,12 @@ TEST_F(TmTest, RestartCountVisibleOnHandle) {
   options.top_threads = 4;
   options.bottom_threads = 4;
   TransactionManager tm(&store, translator_.get(), options);
-  tm.SubmitUpdate(InsertTxn(1, 0));
-  auto h1 = tm.SubmitUpdate(UpdateTxn(1, 1));
-  auto h2 = tm.SubmitUpdate(UpdateTxn(1, 2));
+  tm.SubmitUpdate(InsertTxn(1, 0, "H"));
+  auto h1 = tm.SubmitUpdate(UpdateTxn(1, 1, "H"));
+  auto h2 = tm.SubmitUpdate(UpdateTxn(1, 2, "H"));
   TXREP_ASSERT_OK(tm.WaitIdle());
   // At least one of the chained updates must have restarted (they all race
-  // on T_1 while the predecessor's buffer is unapplied).
+  // on H_1 while the predecessor's buffer is unapplied).
   EXPECT_GE(h1->restarts() + h2->restarts(), 1);
 }
 

@@ -25,6 +25,14 @@ class QueryTranslatorTest : public ::testing::Test {
     TXREP_ASSERT_OK(item->AddHashIndex("I_COST"));
     TXREP_ASSERT_OK(item->AddRangeIndex("I_COST"));
     TXREP_ASSERT_OK(catalog_.AddTable(*item));
+    // No secondary index: updates and deletes of NOTE rows write blind.
+    Result<rel::TableSchema> note =
+        rel::TableSchema::Create("NOTE",
+                                 {{"N_ID", rel::ValueType::kInt64},
+                                  {"N_TEXT", rel::ValueType::kString}},
+                                 "N_ID");
+    ASSERT_TRUE(note.ok());
+    TXREP_ASSERT_OK(catalog_.AddTable(*note));
     translator_ =
         std::make_unique<QueryTranslator>(&catalog_, blink::BlinkTreeOptions{});
     TXREP_ASSERT_OK(translator_->InitializeIndexes(&store_));
@@ -124,6 +132,41 @@ TEST_F(QueryTranslatorTest, UpdateOfMissingRowFails) {
 
 TEST_F(QueryTranslatorTest, DeleteOfMissingRowFails) {
   EXPECT_TRUE(translator_->ApplyLogOp(&store_, Delete(42)).IsNotFound());
+}
+
+TEST_F(QueryTranslatorTest, UnindexedUpdateAndDeleteWriteBlind) {
+  auto note = [](rel::LogOpType type, int64_t id, const std::string& text) {
+    rel::LogOp op{type, "NOTE", Value::Int(id), {}};
+    if (type != rel::LogOpType::kDelete) {
+      op.after = {Value::Int(id), Value::Str(text)};
+    }
+    return op;
+  };
+  TXREP_ASSERT_OK(
+      translator_->ApplyLogOp(&store_, note(rel::LogOpType::kInsert, 1, "a")));
+  const int64_t gets_before = store_.stats().gets;
+  TXREP_ASSERT_OK(
+      translator_->ApplyLogOp(&store_, note(rel::LogOpType::kUpdate, 1, "b")));
+  Result<rel::Row> row = codec::DecodeRow(*store_.Get("NOTE_1"));
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((*row)[1].AsString(), "b");
+  const int64_t gets_after_update = store_.stats().gets;
+  EXPECT_EQ(gets_after_update, gets_before + 1);  // Only the check above.
+  TXREP_ASSERT_OK(
+      translator_->ApplyLogOp(&store_, note(rel::LogOpType::kDelete, 1, "")));
+  EXPECT_EQ(store_.stats().gets, gets_after_update);
+  EXPECT_FALSE(store_.Contains("NOTE_1"));
+}
+
+TEST_F(QueryTranslatorTest, UnindexedUpdateOfMissingRowWritesAfterImage) {
+  // No old row is read, so nothing can be missing: the after-image the log
+  // shipped becomes the row.
+  rel::LogOp op{rel::LogOpType::kUpdate, "NOTE", Value::Int(9),
+                {Value::Int(9), Value::Str("z")}};
+  TXREP_ASSERT_OK(translator_->ApplyLogOp(&store_, op));
+  Result<rel::Row> row = codec::DecodeRow(*store_.Get("NOTE_9"));
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((*row)[1].AsString(), "z");
 }
 
 TEST_F(QueryTranslatorTest, NullIndexedValuesSkipped) {
